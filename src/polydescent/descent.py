@@ -22,7 +22,6 @@ from .geometry import (
     LiftError,
     ProjectionConfig,
     PulledBackObjective,
-    TangentFrame,
     lift,
     project_to_manifold,
     pullback_objective,
@@ -80,19 +79,6 @@ class DescentProblem:
     partition: WhitneyPartition
     objective: object
     start: np.ndarray
-
-
-@dataclass
-class DescentState:
-    """Mutable loop state: iteration, current point, base frame and step."""
-
-    j: int
-    p: np.ndarray
-    b: np.ndarray
-    w: np.ndarray
-    alpha: float
-    frame: TangentFrame
-    f_current: float
 
 
 @dataclass(frozen=True)
@@ -187,7 +173,7 @@ def descend(
             f"tolerance {pcfg.residual_tol:.3e}"
         )
 
-    ftilde = pullback_objective(problem.objective, part, pcfg)
+    ftilde = pullback_objective(problem.objective, part)
     f0 = ftilde(p0)
     warm_at_p = ftilde.warm
     c_forcing = (
@@ -195,67 +181,60 @@ def descend(
     )
 
     rng = np.random.default_rng(cfg.seed)
-    state = DescentState(
-        j=0,
-        p=p0,
-        b=p0.copy(),
-        w=np.zeros(m),
-        alpha=cfg.alpha0,
-        frame=tangent_frame(part, p0),
-        f_current=f0,
-    )
+    # loop state: current point and value, tangent offset from the frame's
+    # base point, and the step size
+    p, f_current = p0, f0
+    w = np.zeros(m)
+    alpha = cfg.alpha0
+    frame = tangent_frame(part, p0)
     records: list[TraceRecord] = []
 
     for j in range(cfg.j_max):
-        state.j = j
-        alpha_j = state.alpha
+        alpha_j = alpha
         u = random_unit_direction(rng, m)
-        w_plus = state.w + alpha_j * u
-        w_minus = state.w - alpha_j * u
-        p_plus = project_to_manifold(state.frame, w_plus, pcfg)
-        p_minus = project_to_manifold(state.frame, w_minus, pcfg)
+        w_plus = w + alpha_j * u
+        w_minus = w - alpha_j * u
+        p_plus = project_to_manifold(frame, w_plus, pcfg)
+        p_minus = project_to_manifold(frame, w_minus, pcfg)
 
         if p_plus is None or p_minus is None:
             # oracle failure: re-base the tangent frame at the current point
-            state.b = state.p.copy()
-            state.frame = tangent_frame(part, state.b)
-            state.w = np.zeros(m)
-            state.alpha = cfg.theta * alpha_j
+            frame = tangent_frame(part, p)
+            w = np.zeros(m)
+            alpha = cfg.theta * alpha_j
             event = REBASE
         else:
-            threshold = state.f_current - c_forcing * alpha_j * alpha_j
+            threshold = f_current - c_forcing * alpha_j * alpha_j
             accepted = False
             f_plus = _poll_value(ftilde, p_plus)
             if f_plus is not None and f_plus < threshold:
-                state.p, state.w, state.f_current = p_plus, w_plus, f_plus
+                p, w, f_current = p_plus, w_plus, f_plus
                 accepted = True
             else:
                 f_minus = _poll_value(ftilde, p_minus)
                 if f_minus is not None and f_minus < threshold:
-                    state.p, state.w, state.f_current = p_minus, w_minus, f_minus
+                    p, w, f_current = p_minus, w_minus, f_minus
                     accepted = True
             if accepted:
                 warm_at_p = ftilde.warm
-                state.alpha = min(cfg.alpha_max, cfg.gamma * alpha_j)
+                alpha = min(cfg.alpha_max, cfg.gamma * alpha_j)
                 event = SUCCESS
             else:
-                state.alpha = cfg.theta * alpha_j
+                alpha = cfg.theta * alpha_j
                 event = UNSUCCESSFUL
 
-        rec = TraceRecord(
-            j, alpha_j, state.f_current, event, tuple(state.p.tolist())
-        )
+        rec = TraceRecord(j, alpha_j, f_current, event, tuple(p.tolist()))
         records.append(rec)
         if on_record is not None:
             on_record(rec)
 
-    final_ambient = lift(part, state.p, warm=warm_at_p, cfg=pcfg)
+    final_ambient = lift(part, p, warm=warm_at_p)
     window = min(500, cfg.j_max) if cfg.j_max > 0 else 1
     return DescentTrace(
         records=records,
-        final_reduced=state.p,
+        final_reduced=p,
         final_ambient=final_ambient,
-        final_objective=state.f_current,
+        final_objective=f_current,
         converged=check_convergence(records, window),
         c_forcing=c_forcing,
     )

@@ -14,14 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
-    NotRegularError,
-    ProjectionConfig,
     DEFAULT_PROJECTION,
-    _eval_terms,
-    _kernels,
-    _pinv_and_null,
-    jacobian,
+    ProjectionConfig,
     project_to_manifold,
+    regular_pinv,
     tangent_frame,
 )
 from .triangular import WhitneyPartition
@@ -43,21 +39,12 @@ def christoffel(part: WhitneyPartition, p) -> np.ndarray:
 
     Row i of the Jacobian pseudoinverse is contracted with each constraint's
     Hessian, summing over the constraint index; the result is symmetric in
-    the last two slots because mixed partials commute.
+    the last two slots because mixed partials commute.  Raises
+    :class:`~polydescent.geometry.NotRegularError` where the Jacobian
+    loses rank.
     """
-    J = jacobian(part, p)
-    pinv, _, rank = _pinv_and_null(J)
-    if rank < len(part.g_star):
-        raise NotRegularError(f"Jacobian rank {rank} < {len(part.g_star)}")
-    kern = _kernels(part)
-    hess = kern.hessians(part)
-    d = part.reduced_dim
-    vals = [float(v) for v in p]
-    H = np.empty((len(part.g_star), d, d))
-    for c, rows in enumerate(hess):
-        for a in range(d):
-            for b in range(a, d):
-                H[c, a, b] = H[c, b, a] = _eval_terms(rows[a][b], vals)
+    _, pinv, _ = regular_pinv(part, p)
+    H = part.compiled.hessians([float(v) for v in p])
     return np.einsum("ic,cjk->ijk", pinv, H)
 
 

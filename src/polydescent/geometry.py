@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polynomials import Polynomial
+from .polynomials import Polynomial, eval_terms
 from .triangular import WhitneyPartition
 
 
@@ -57,7 +57,7 @@ class AmbiguousRootError(LiftError):
 
 @dataclass(frozen=True)
 class ProjectionConfig:
-    """Tolerances for the projection iteration and the lift solves."""
+    """Tolerances and limits of the projection iteration."""
 
     residual_tol: float = 1e-10
     max_iters: int = 50
@@ -93,114 +93,44 @@ class TangentFrame:
     J: np.ndarray
 
 
-# -- compiled evaluators ------------------------------------------------------
-#
-# Descent evaluates small polynomials millions of times; going through the
-# exact-rational term maps each time is needless overhead.  Each partition
-# lazily gets per-polynomial term tables with float coefficients and local
-# index maps, evaluated with plain Python floats.
-
-_CompiledTerms = list[tuple[float, tuple[tuple[int, int], ...]]]
-
-
-def _compile(poly: Polynomial, index_of: dict[int, int]) -> _CompiledTerms:
-    out: _CompiledTerms = []
-    for mono, coeff in poly.terms.items():
-        facs = tuple((index_of[i], e) for i, e in mono.exps)
-        out.append((float(coeff), facs))
-    return out
-
-
-def _eval_terms(terms: _CompiledTerms, vals) -> float:
-    total = 0.0
-    for c, facs in terms:
-        for i, e in facs:
-            c *= vals[i] ** e
-        total += c
-    return total
-
-
-class _Kernels:
-    def __init__(self, part: WhitneyPartition):
-        red_of = {g: i for i, g in enumerate(part.retained)}
-        self.gstar = [_compile(p, red_of) for p in part.g_star]
-        self.jac = [
-            [_compile(p.derivative(v), red_of) for v in part.retained]
-            for p in part.g_star
-        ]
-        self.hess: list[list[list[_CompiledTerms]]] | None = None
-        self.n_vars = len(part.order)
-        # eliminated stage j: (ambient var, degree, terms grouped by that
-        # variable's exponent with the remaining factors in ambient indices)
-        identity = {i: i for i in range(self.n_vars)}
-        self.stages = []
-        for j, p in enumerate(part.g_circ):
-            yvar = part.eliminated[j]
-            deg = p.degree_in(yvar)
-            grouped: list[tuple[int, float, tuple[tuple[int, int], ...]]] = []
-            for mono, coeff in p.terms.items():
-                e = mono.degree_of(yvar)
-                rest = tuple(
-                    (identity[i], ee) for i, ee in mono.exps if i != yvar
-                )
-                grouped.append((e, float(coeff), rest))
-            self.stages.append((yvar, deg, grouped))
-
-    def hessians(self, part: WhitneyPartition):
-        if self.hess is None:
-            red_of = {g: i for i, g in enumerate(part.retained)}
-            d = len(part.retained)
-            self.hess = []
-            for p in part.g_star:
-                rows = []
-                for a in range(d):
-                    da = p.derivative(part.retained[a])
-                    rows.append(
-                        [
-                            _compile(da.derivative(part.retained[b]), red_of)
-                            for b in range(d)
-                        ]
-                    )
-                self.hess.append(rows)
-        return self.hess
-
-
-def _kernels(part: WhitneyPartition) -> _Kernels:
-    kern = getattr(part, "_geom_kernels", None)
-    if kern is None:
-        kern = _Kernels(part)
-        part._geom_kernels = kern
-    return kern
-
-
 # -- Jacobians and tangent frames --------------------------------------------
+
+
+def _check_length(p, n: int, what: str):
+    if len(p) != n:
+        raise ValueError(f"{what} has {len(p)} coordinates, expected {n}")
 
 
 def residuals(part: WhitneyPartition, p) -> np.ndarray:
     """Values of the retained constraints at reduced coordinates ``p``."""
-    kern = _kernels(part)
-    vals = [float(v) for v in p]
-    return np.array([_eval_terms(t, vals) for t in kern.gstar])
+    _check_length(p, part.reduced_dim, "reduced point")
+    return np.array(part.compiled.residuals([float(v) for v in p]))
 
 
 def jacobian(part: WhitneyPartition, p) -> np.ndarray:
     """Retained-constraint Jacobian at ``p``, one row per constraint."""
-    kern = _kernels(part)
-    vals = [float(v) for v in p]
-    return np.array(
-        [[_eval_terms(t, vals) for t in row] for row in kern.jac]
-    )
+    _check_length(p, part.reduced_dim, "reduced point")
+    return part.compiled.jacobian([float(v) for v in p])
 
 
-def _pinv_and_null(J: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """(pseudoinverse, orthonormal null basis, rank) with an SVD rank cutoff."""
+def regular_pinv(part: WhitneyPartition, p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Jacobian, pseudoinverse, orthonormal null basis) at ``p``, from one SVD.
+
+    Singular values at or below ``max(J.shape) * eps * s_max`` count as zero.
+    Raises :class:`NotRegularError` when the Jacobian's numerical rank is
+    below the number of retained constraints.
+    """
+    J = jacobian(part, p)
     u, s, vt = np.linalg.svd(J, full_matrices=True)
     smax = s[0] if s.size else 0.0
     cutoff = max(J.shape) * np.finfo(float).eps * smax
     rank = int(np.sum(s > cutoff))
+    if rank < len(part.g_star):
+        raise NotRegularError(
+            f"Jacobian rank {rank} < {len(part.g_star)} at {np.asarray(p).tolist()}"
+        )
     pinv = vt[:rank].T @ ((u[:, :rank] / s[:rank]).T)
-    null = vt[rank:].T
-    return pinv, null, rank
+    return J, pinv, vt[rank:].T
 
 
 def tangent_frame(part: WhitneyPartition, p) -> TangentFrame:
@@ -210,12 +140,7 @@ def tangent_frame(part: WhitneyPartition, p) -> TangentFrame:
     below the number of retained constraints.
     """
     base = np.asarray(p, dtype=float).copy()
-    J = jacobian(part, base)
-    pinv, null, rank = _pinv_and_null(J)
-    if rank < len(part.g_star):
-        raise NotRegularError(
-            f"Jacobian rank {rank} < {len(part.g_star)} at {base.tolist()}"
-        )
+    J, pinv, null = regular_pinv(part, base)
     if null.size:
         m = null.shape[1]
         orth = float(np.max(np.abs(null.T @ null - np.eye(m))))
@@ -243,7 +168,7 @@ def project_to_manifold(
     ``residual_tol`` within ``max_iters`` updates.  None is the oracle
     saying the implicit function theorem stopped holding out here.
     """
-    kern = _kernels(frame.partition)
+    compiled_residuals = frame.partition.compiled.residuals
     w = np.asarray(w, dtype=float)
     q0 = (frame.base + frame.U @ w).tolist()
     q = list(q0)
@@ -251,7 +176,7 @@ def project_to_manifold(
     radius_sq = cfg.oracle_radius * cfg.oracle_radius
     r_init = None
     for n in range(cfg.max_iters + 1):
-        g = [_eval_terms(t, q) for t in kern.gstar]
+        g = compiled_residuals(q)
         r = max(abs(v) for v in g)
         if r <= cfg.residual_tol:
             return np.array(q)
@@ -366,22 +291,14 @@ def _real_roots(coeffs: list[float]) -> list[float] | None:
 
 
 def _lift_values(
-    part: WhitneyPartition,
-    p,
-    warm: list[float] | None,
-    cfg: ProjectionConfig,
+    part: WhitneyPartition, p, warm: list[float] | None
 ) -> list[float]:
-    kern = _kernels(part)
-    vals = [0.0] * kern.n_vars
+    compiled = part.compiled
+    vals = [0.0] * len(part.order)
     for i, v in zip(part.retained, p):
         vals[i] = float(v)
-    for j, (yvar, deg, grouped) in enumerate(kern.stages):
-        coeffs = [0.0] * (deg + 1)
-        for e, c, facs in grouped:
-            t = c
-            for i, ee in facs:
-                t *= vals[i] ** ee
-            coeffs[e] += t
+    for j, yvar in enumerate(part.eliminated):
+        coeffs = compiled.stage_coeffs(j, vals)
         name = part.order[yvar]
         roots = _real_roots(coeffs)
         if roots is None:
@@ -407,24 +324,22 @@ def _lift_values(
     return vals
 
 
-def lift(
-    part: WhitneyPartition,
-    p,
-    warm=None,
-    cfg: ProjectionConfig = DEFAULT_PROJECTION,
-) -> np.ndarray:
+def lift(part: WhitneyPartition, p, warm=None) -> np.ndarray:
     """Recover the ambient point over reduced coordinates ``p``.
 
     The eliminated constraints are solved in elimination order; each is
     univariate once the retained coordinates and the previously solved
     values are substituted.  Among multiple real roots the one nearest the
     warm start is taken (nearest zero without one).  Roots are polished to
-    float precision, well past ``cfg.residual_tol``.  Raises
-    :class:`NoRealRootError` / :class:`AmbiguousRootError`.
+    float precision.  Raises :class:`NoRealRootError` /
+    :class:`AmbiguousRootError`, and ``ValueError`` when ``p`` or ``warm``
+    has the wrong length.
     """
+    _check_length(p, part.reduced_dim, "reduced point")
     if warm is not None:
+        _check_length(warm, len(part.eliminated), "warm start")
         warm = [float(v) for v in warm]
-    return np.array(_lift_values(part, p, warm, cfg))
+    return np.array(_lift_values(part, p, warm))
 
 
 class PulledBackObjective:
@@ -436,21 +351,20 @@ class PulledBackObjective:
     share across concurrent descent runs; give each its own instance.
     """
 
-    def __init__(self, objective, part: WhitneyPartition, cfg: ProjectionConfig = DEFAULT_PROJECTION):
+    def __init__(self, objective, part: WhitneyPartition):
         self.partition = part
-        self.cfg = cfg
         self.last_ambient: np.ndarray | None = None
         self._warm: list[float] | None = None
         if isinstance(objective, Polynomial):
             if objective.order != part.order:
                 raise ValueError("objective uses a different variable order")
-            terms = _compile(objective, {i: i for i in range(len(part.order))})
-            self._fn = lambda vals: _eval_terms(terms, vals)
+            terms = objective.compile()
+            self._fn = lambda vals: eval_terms(terms, vals)
         else:
             self._fn = lambda vals: float(objective(np.array(vals)))
 
     def __call__(self, p) -> float:
-        vals = _lift_values(self.partition, p, self._warm, self.cfg)
+        vals = _lift_values(self.partition, p, self._warm)
         self._warm = [vals[v] for v in self.partition.eliminated]
         self.last_ambient = np.array(vals)
         return self._fn(vals)
@@ -460,8 +374,6 @@ class PulledBackObjective:
         return list(self._warm) if self._warm is not None else None
 
 
-def pullback_objective(
-    objective, part: WhitneyPartition, cfg: ProjectionConfig = DEFAULT_PROJECTION
-) -> PulledBackObjective:
+def pullback_objective(objective, part: WhitneyPartition) -> PulledBackObjective:
     """Compose an ambient objective (Polynomial or callable) with the lift."""
-    return PulledBackObjective(objective, part, cfg)
+    return PulledBackObjective(objective, part)

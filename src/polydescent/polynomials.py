@@ -3,7 +3,8 @@
 A polynomial is a map from monomials to nonzero ``Fraction`` coefficients,
 relative to a fixed ordering of the variables.  All symbolic work (arithmetic,
 differentiation, the main-variable decomposition) stays exact; floating point
-enters only in :meth:`Polynomial.evaluate`.
+enters only in :meth:`Polynomial.compile` and :meth:`Polynomial.evaluate`:
+the first builds a float term table, which :func:`eval_terms` evaluates.
 
 The canonical form stores no zero coefficients and no zero exponents, so two
 polynomials are equal exactly when their term maps are equal, and the printed
@@ -40,6 +41,24 @@ class InvalidExponentError(ParseError):
 
 class ConstantPolynomialError(ValueError):
     """Raised by operations that require a non-constant polynomial."""
+
+
+# float term table: (coefficient, ((variable index, exponent), ...)) per term
+Terms = list[tuple[float, tuple[tuple[int, int], ...]]]
+
+
+def eval_terms(terms: Terms, vals: Sequence[float]) -> float:
+    """Value of a compiled term table at ``vals``, indexed as it was compiled.
+
+    Terms are evaluated independently and summed in table order; overflow
+    propagates as IEEE infinities for the caller to handle.
+    """
+    total = 0.0
+    for c, facs in terms:
+        for i, e in facs:
+            c *= vals[i] ** e
+        total += c
+    return total
 
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -170,9 +189,6 @@ class Polynomial:
     def is_constant(self) -> bool:
         return all(m == Monomial() for m in self.terms)
 
-    def constant_value(self) -> Fraction:
-        return self.terms.get(Monomial(), Fraction(0))
-
     def variables(self) -> frozenset[int]:
         out: set[int] = set()
         for m in self.terms:
@@ -268,21 +284,24 @@ class Polynomial:
             out[mm] = out.get(mm, Fraction(0)) + c * e
         return Polynomial(self.order, out)
 
-    def evaluate(self, point: Sequence[float]) -> float:
-        """Floating-point value at ``point`` (one value per variable, in order).
+    def compile(self, index_of: Mapping[int, int] | None = None) -> Terms:
+        """Float term table for :func:`eval_terms`.
 
-        Terms are evaluated independently and summed; overflow propagates as
-        IEEE infinities for the caller to handle.
+        Variable ``i`` is read from slot ``index_of[i]`` of the evaluation
+        point, or from slot ``i`` without a map.
         """
+        if index_of is None:
+            return [(float(c), m.exps) for m, c in self.terms.items()]
+        return [
+            (float(c), tuple((index_of[i], e) for i, e in m.exps))
+            for m, c in self.terms.items()
+        ]
+
+    def evaluate(self, point: Sequence[float]) -> float:
+        """Floating-point value at ``point`` (one value per variable, in order)."""
         if len(point) != len(self.order):
             raise ValueError("point length does not match variable order")
-        total = 0.0
-        for m, c in self.terms.items():
-            v = float(c)
-            for i, e in m.exps:
-                v *= point[i] ** e
-            total += v
-        return total
+        return eval_terms(self.compile(), point)
 
     # -- canonical text ---------------------------------------------------
 

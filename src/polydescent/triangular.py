@@ -10,12 +10,13 @@ variables for the optimizer to walk on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .polynomials import Polynomial, VariableOrder
+from .polynomials import Polynomial, Terms, VariableOrder, eval_terms
 
 
 class ConstantMemberError(ValueError):
@@ -53,10 +54,6 @@ class TriangularSystem:
     order: VariableOrder
     algebraic_vars: frozenset[int]
     free_vars: frozenset[int]
-
-    @property
-    def n_constraints(self) -> int:
-        return len(self.polynomials)
 
     @property
     def manifold_dim(self) -> int:
@@ -128,6 +125,72 @@ class WhitneyPartition:
 
     def retained_names(self) -> tuple[str, ...]:
         return tuple(self.order[v] for v in self.retained)
+
+    @cached_property
+    def compiled(self) -> CompiledSystem:
+        """The float form of this partition, built on first use."""
+        return CompiledSystem(self)
+
+
+class CompiledSystem:
+    """Float term tables for a partition's constraints and their derivatives.
+
+    Descent evaluates small polynomials millions of times; going through the
+    exact-rational term maps each time is needless overhead, so every float
+    evaluation of a partition reads these tables with plain Python floats.
+    ``residuals``, ``jacobian`` and ``hessians`` take reduced coordinates
+    (one value per retained variable); ``stage_coeffs`` takes an ambient
+    point.  The Hessian tables are compiled on their first use.
+    """
+
+    def __init__(self, part: WhitneyPartition):
+        self._retained = part.retained
+        self._red_of = {v: i for i, v in enumerate(part.retained)}
+        self._g_star = [p.compile(self._red_of) for p in part.g_star]
+        # exact first partials, kept to derive the Hessian tables from
+        self._partials = [[p.derivative(v) for v in part.retained] for p in part.g_star]
+        self._jac = [[dp.compile(self._red_of) for dp in row] for row in self._partials]
+        # stage j: one table per power of eliminated[j], grouping that power's
+        # terms in term order so each coefficient sums as the polynomial does
+        self._stages: list[list[Terms]] = []
+        for y, p in zip(part.eliminated, part.g_circ):
+            tables: list[Terms] = [[] for _ in range(p.degree_in(y) + 1)]
+            for m, c in p.terms.items():
+                rest = tuple((i, e) for i, e in m.exps if i != y)
+                tables[m.degree_of(y)].append((float(c), rest))
+            self._stages.append(tables)
+
+    @cached_property
+    def _hess(self) -> list[list[list[Terms]]]:
+        # upper triangle only: [c][a][b - a] holds d2 g_c / dv_a dv_b for b >= a
+        ret = self._retained
+        return [
+            [[da.derivative(vb).compile(self._red_of) for vb in ret[a:]]
+             for a, da in enumerate(row)]
+            for row in self._partials
+        ]
+
+    def residuals(self, vals) -> list[float]:
+        """Values of the retained constraints."""
+        return [eval_terms(t, vals) for t in self._g_star]
+
+    def jacobian(self, vals) -> np.ndarray:
+        """Retained-constraint Jacobian, one row per constraint."""
+        return np.array([[eval_terms(t, vals) for t in row] for row in self._jac])
+
+    def hessians(self, vals) -> np.ndarray:
+        """H[c, a, b]: second partials of retained constraint c."""
+        d = len(self._retained)
+        H = np.empty((len(self._g_star), d, d))
+        for c, rows in enumerate(self._hess):
+            for a, row in enumerate(rows):
+                for b, t in enumerate(row, a):
+                    H[c, a, b] = H[c, b, a] = eval_terms(t, vals)
+        return H
+
+    def stage_coeffs(self, j: int, vals) -> list[float]:
+        """Coefficients of ``g_circ[j]`` in ``eliminated[j]``, lowest power first."""
+        return [eval_terms(t, vals) for t in self._stages[j]]
 
 
 def _unique_real_root_guaranteed(p: Polynomial) -> bool:
@@ -244,11 +307,6 @@ class LinearTriangularForm:
     a23: np.ndarray
     b1: np.ndarray
     b2: np.ndarray
-    m: int = field(default=0)
-
-    @property
-    def k(self) -> int:
-        return self.a11.shape[0] + self.a22.shape[0]
 
     def solve_reduced(self, u: np.ndarray) -> np.ndarray:
         """x such that [A22 A23][x; u] = b2, for a freely chosen u."""
@@ -302,5 +360,4 @@ def linear_whitney(A: np.ndarray, b: np.ndarray, m: int) -> LinearTriangularForm
         a23=r[split:, k:],
         b1=bt[:split],
         b2=bt[split:],
-        m=m,
     )

@@ -1,0 +1,111 @@
+"""A partition's compiled float form against exact-polynomial evaluation.
+
+Every fixture and every ``"auto"`` partition retains a prefix of the
+variables, so these tests eliminate explicitly to leave retained sets whose
+reduced indices differ from their ambient ones.
+"""
+
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from conftest import random_polynomial
+from polydescent.geometry import LiftError, lift
+from polydescent.polynomials import Monomial, Polynomial, VariableOrder, parse_polynomial
+from polydescent.triangular import validate_triangular, whitney_partition
+
+
+def _horner(coeffs, y):
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * y + c
+    return acc
+
+
+def _magnitude(poly, point):
+    """Sum of the absolute values of the terms: the scale of rounding error."""
+    absolute = Polynomial(poly.order, {m: abs(c) for m, c in poly.terms.items()})
+    return absolute.evaluate([abs(v) for v in point])
+
+
+def _check_compiled(part, amb):
+    """Compare ``part.compiled`` with ``Polynomial.evaluate`` at ambient ``amb``.
+
+    The retained constraints are evaluated at the reduced point embedded in
+    ``amb``; the compiled tables hold the same terms in the same order, so
+    those values must agree bit for bit.
+    """
+    compiled = part.compiled
+    assert part.compiled is compiled
+    ret = part.retained
+    p = [amb[v] for v in ret]
+
+    assert compiled.residuals(p) == [g.evaluate(amb) for g in part.g_star]
+    J = compiled.jacobian(p)
+    H = compiled.hessians(p)
+    for c, g in enumerate(part.g_star):
+        for a, va in enumerate(ret):
+            da = g.derivative(va)
+            assert J[c, a] == da.evaluate(amb)
+            for b in range(a, len(ret)):
+                assert H[c, a, b] == H[c, b, a] == da.derivative(ret[b]).evaluate(amb)
+
+    for j, (y, g) in enumerate(zip(part.eliminated, part.g_circ)):
+        coeffs = compiled.stage_coeffs(j, amb)
+        assert len(coeffs) == g.degree_in(y) + 1
+        assert abs(_horner(coeffs, amb[y]) - g.evaluate(amb)) <= 1e-12 * (
+            1.0 + _magnitude(g, amb)
+        )
+
+
+def _random_partition(rng: random.Random):
+    """A random triangular system, eliminated so the retained set is no prefix."""
+    while True:
+        n = rng.randint(3, 6)
+        algebraic = sorted(rng.sample(range(n), rng.randint(2, n)))
+        eliminated = sorted(rng.sample(algebraic, rng.randint(1, len(algebraic) - 1)))
+        retained = [v for v in range(n) if v not in eliminated]
+        if min(eliminated) < max(retained):
+            break
+    order = VariableOrder([f"z{i}" for i in range(n)])
+    polys = []
+    for v in algebraic:
+        # main variable v at degree d; retained members avoid eliminated variables
+        d = rng.randint(1, 3)
+        allowed = {w for w in range(v + 1) if v in eliminated or w not in eliminated}
+        tail = {
+            m: c
+            for m, c in random_polynomial(rng, order).terms.items()
+            if m.variables() <= allowed and m.degree_of(v) < d
+        }
+        lead = Monomial(((v, d),))
+        polys.append(Polynomial(order, {**tail, lead: Fraction(rng.randint(1, 5))}))
+    part = whitney_partition(validate_triangular(polys, order), eliminate=eliminated)
+    assert part.retained == tuple(retained)
+    return part
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_compiled_matches_exact_evaluation(seed):
+    rng = random.Random(seed)
+    part = _random_partition(rng)
+    amb = [rng.uniform(-1.5, 1.5) for _ in part.order]
+    _check_compiled(part, amb)
+    try:
+        lifted = lift(part, [amb[v] for v in part.retained])
+    except LiftError:
+        return
+    _check_compiled(part, lifted.tolist())
+
+
+def test_non_prefix_retained_set():
+    order = VariableOrder(["u", "x", "y"])
+    polys = [parse_polynomial(t, order) for t in ("x - u^2", "y^2 + u^2 - 1")]
+    part = whitney_partition(validate_triangular(polys, order), eliminate=[1])
+    assert part.retained == (0, 2)
+    amb = [0.6, 5.0, 0.8]
+    _check_compiled(part, amb)
+    assert part.compiled.jacobian([0.6, 0.8]).tolist() == [[1.2, 1.6]]
+    assert part.compiled.stage_coeffs(0, amb) == [-0.36, 1.0]

@@ -166,6 +166,21 @@ class TestLift:
         assert amb[3] == pytest.approx(y1 + 2.0, rel=1e-12)
 
 
+class TestWrongLength:
+    """Public entry points reject reduced points and warm starts of the wrong length."""
+
+    @pytest.mark.parametrize("fn", [lift, residuals, jacobian])
+    @pytest.mark.parametrize("p", [[0.6], [0.6, 0.8, 123.0]])
+    def test_reduced_point(self, curve3, fn, p):
+        with pytest.raises(ValueError, match="reduced point has"):
+            fn(curve3, p)
+
+    @pytest.mark.parametrize("warm", [[], [-0.9, 1.0]])
+    def test_warm_start(self, curve3, warm):
+        with pytest.raises(ValueError, match="warm start has"):
+            lift(curve3, curve3_point(0.6), warm=warm)
+
+
 class TestPullback:
     def test_height_objective(self, curve3):
         f = parse_polynomial("y", curve3.order)

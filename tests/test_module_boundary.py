@@ -1,0 +1,88 @@
+"""Module boundaries inside the package, checked on its source.
+
+Private names stay in the module that defines them, and a partition's state
+is owned by ``triangular.py``: other modules read ``WhitneyPartition``
+(including its ``compiled`` form) but never attach attributes to it.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import polydescent
+
+MODULES = sorted(Path(polydescent.__file__).parent.glob("*.py"))
+
+
+def private_imports(tree: ast.AST) -> list[str]:
+    """``_``-prefixed names imported from a polydescent module."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level > 0 or (node.module or "").split(".")[0] == "polydescent"
+        ):
+            out += [f"line {node.lineno}: {a.name}" for a in node.names if a.name.startswith("_")]
+    return out
+
+
+def partition_writes(tree: ast.AST) -> list[str]:
+    """Attribute writes on a value annotated ``WhitneyPartition`` or named ``*.partition``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            ann, name = node.annotation, node.arg
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            ann, name = node.annotation, node.target.id
+        else:
+            continue
+        if ann is not None and "WhitneyPartition" in ast.unparse(ann):
+            names.add(name)
+
+    def is_partition(node):
+        if isinstance(node, ast.Name):
+            return node.id in names
+        return isinstance(node, ast.Attribute) and node.attr == "partition"
+
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            hit = is_partition(node.value)
+        elif isinstance(node, ast.Call):
+            hit = (
+                ast.unparse(node.func) in ("setattr", "object.__setattr__")
+                and bool(node.args)
+                and is_partition(node.args[0])
+            )
+        else:
+            continue
+        if hit:
+            out.append(f"line {node.lineno}: {ast.unparse(node)}")
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_names_cross_modules(path):
+    assert private_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "triangular.py"], ids=lambda p: p.name
+)
+def test_partition_attributes_set_only_in_triangular(path):
+    assert partition_writes(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_checks_catch_violations():
+    bad = """
+from .geometry import _kernels
+from polydescent.geometry import lift, _eval_terms as ev
+
+def attach(part: WhitneyPartition, frame):
+    part._cache = 1
+    frame.partition.extra = 2
+    setattr(part, "x", 3)
+"""
+    tree = ast.parse(bad)
+    assert len(private_imports(tree)) == 2
+    assert len(partition_writes(tree)) == 3
