@@ -22,7 +22,6 @@ from .geometry import (
     LiftError,
     ProjectionConfig,
     PulledBackObjective,
-    lift,
     project_to_manifold,
     pullback_objective,
     residuals,
@@ -175,15 +174,14 @@ def descend(
 
     ftilde = pullback_objective(problem.objective, part)
     f0 = ftilde(p0)
-    warm_at_p = ftilde.warm
     c_forcing = (
         cfg.c_forcing if cfg.c_forcing is not None else 1e-4 * (1.0 + abs(f0))
     )
 
     rng = np.random.default_rng(cfg.seed)
-    # loop state: current point and value, tangent offset from the frame's
-    # base point, and the step size
-    p, f_current = p0, f0
+    # loop state: current point, its value and lift (``ambient``), tangent
+    # offset from the frame's base point, and the step size
+    p, f_current, ambient = p0, f0, ftilde.last_ambient
     w = np.zeros(m)
     alpha = cfg.alpha0
     frame = tangent_frame(part, p0)
@@ -216,7 +214,7 @@ def descend(
                     p, w, f_current = p_minus, w_minus, f_minus
                     accepted = True
             if accepted:
-                warm_at_p = ftilde.warm
+                ambient = ftilde.last_ambient
                 alpha = min(cfg.alpha_max, cfg.gamma * alpha_j)
                 event = SUCCESS
             else:
@@ -228,12 +226,11 @@ def descend(
         if on_record is not None:
             on_record(rec)
 
-    final_ambient = lift(part, p, warm=warm_at_p)
     window = min(500, cfg.j_max) if cfg.j_max > 0 else 1
     return DescentTrace(
         records=records,
         final_reduced=p,
-        final_ambient=final_ambient,
+        final_ambient=ambient,
         final_objective=f_current,
         converged=check_convergence(records, window),
         c_forcing=c_forcing,

@@ -15,6 +15,7 @@ variable order.  Three mechanisms live here:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,17 +199,6 @@ def project_to_manifold(
 # -- univariate real roots for the lift ---------------------------------------
 
 
-def _unit_grid(ratio: float = 1.25, floor: float = 1e-13) -> np.ndarray:
-    pts = [1.0]
-    while pts[-1] > floor:
-        pts.append(pts[-1] / ratio)
-    pos = np.array(pts[::-1])
-    return np.concatenate([-pos[::-1], [0.0], pos])
-
-
-_UNIT_GRID = _unit_grid()
-
-
 def _horner(coeffs: list[float], y: float) -> float:
     acc = 0.0
     for c in reversed(coeffs):
@@ -219,13 +209,15 @@ def _horner(coeffs: list[float], y: float) -> float:
 def _bracketed_newton(
     coeffs: list[float], dcoeffs: list[float], lo: float, hi: float, fhi_pos: bool
 ) -> float:
-    """One root in (lo, hi) with opposite signs at the ends.
+    """The root in (lo, hi); the polynomial is positive at ``hi`` iff ``fhi_pos``.
 
     Newton steps are taken while they stay inside the bracket, falling back
-    to bisection otherwise; the bracket shrinks every iteration.
+    to bisection otherwise; the bracket shrinks every iteration.  Stops on an
+    exact zero, on a Newton step below 2e-16 relative, or once no float lies
+    strictly inside the bracket, so there is no iteration cap to run into.
     """
     x = 0.5 * (lo + hi)
-    for _ in range(200):
+    while lo < x < hi:
         f = _horner(coeffs, x)
         if f == 0.0:
             return x
@@ -234,27 +226,26 @@ def _bracketed_newton(
         else:
             lo = x
         df = _horner(dcoeffs, x)
-        if df != 0.0:
-            xn = x - f / df
-            if not (lo < xn < hi):
-                xn = 0.5 * (lo + hi)
-        else:
-            xn = 0.5 * (lo + hi)
-        if abs(xn - x) <= 2e-16 * (1.0 + abs(xn)):
-            return xn
-        if hi - lo <= 1e-15 * max(1.0, abs(lo), abs(hi)):
-            return 0.5 * (lo + hi)
-        x = xn
+        step = f / df if df != 0.0 else math.inf
+        if abs(step) <= 2e-16 * abs(x):
+            return x - step
+        x -= step
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
     return x
 
 
 def _real_roots(coeffs: list[float]) -> list[float] | None:
-    """All bracketable real roots, ascending; None if identically zero.
+    """All real roots of odd multiplicity, ascending; None if identically zero.
 
-    Sign changes are located on a geometric grid scaled to the Cauchy root
-    bound, then each bracket is closed with safeguarded Newton.  Roots of
-    even multiplicity produce no sign change and are not found; at such
-    points the implicit function theorem fails anyway.
+    The polynomial is monotone between consecutive real roots of its
+    derivative, so those roots (found by recursion down to the linear closed
+    form), closed at both ends by the Cauchy root bound, cut the line into
+    intervals holding at most one root each.  Every interval whose ends
+    differ in sign is closed with :func:`_bracketed_newton`.  Roots of even
+    multiplicity produce no sign change and are found only where the value
+    at a critical point is exactly zero; at such points the implicit function
+    theorem fails anyway.
     """
     d = len(coeffs) - 1
     while d >= 0 and coeffs[d] == 0.0:
@@ -267,23 +258,14 @@ def _real_roots(coeffs: list[float]) -> list[float] | None:
     if d == 1:
         return [-coeffs[0] / coeffs[1]]
 
-    lead = abs(coeffs[d])
-    bound = 1.0 + max(abs(c) for c in coeffs[:d]) / lead
-    xs = bound * _UNIT_GRID
-    vals = np.full_like(xs, coeffs[d])
-    for e in range(d - 1, -1, -1):
-        vals = vals * xs + coeffs[e]
-
-    roots = [float(x) for x in xs[vals == 0.0]]
+    bound = 1.0 + max(abs(c) for c in coeffs[:d]) / abs(coeffs[d])
     dcoeffs = [coeffs[e] * e for e in range(1, d + 1)]
-    signs = np.sign(vals)
-    flips = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
-    for i in flips:
-        roots.append(
-            _bracketed_newton(
-                coeffs, dcoeffs, float(xs[i]), float(xs[i + 1]), vals[i + 1] > 0
-            )
-        )
+    knots = [-bound, *_real_roots(dcoeffs), bound]
+    vals = [_horner(coeffs, x) for x in knots]
+    roots = [x for x, f in zip(knots, vals) if f == 0.0]
+    for lo, hi, flo, fhi in zip(knots, knots[1:], vals, vals[1:]):
+        if flo < 0.0 < fhi or fhi < 0.0 < flo:
+            roots.append(_bracketed_newton(coeffs, dcoeffs, lo, hi, fhi > 0.0))
     return sorted(roots)
 
 

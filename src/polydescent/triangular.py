@@ -193,9 +193,11 @@ class CompiledSystem:
         return [eval_terms(t, vals) for t in self._stages[j]]
 
 
-def _unique_real_root_guaranteed(p: Polynomial) -> bool:
-    # degree-1, or odd degree with a constant leading coefficient, always has
-    # exactly one real root varying continuously with the parameters
+def _real_root_guaranteed(p: Polynomial) -> bool:
+    # odd degree with a constant leading coefficient has a real root for
+    # every value of the other variables, and degree one has exactly one
+    # wherever its initial is nonzero.  Higher odd degree may have several
+    # (z^3 - 3*z - x has three at x = 0.8); the lift's warm start picks one.
     initial, d, _, _, _ = p.decompose()
     if d == 1:
         return True
@@ -211,8 +213,9 @@ def whitney_partition(
     constraints will be solved during the lift.  With ``AUTO`` the
     greatest-ranked algebraic variables are peeled off while the reduced
     dimension stays above ``min(2m + 1, n_vars)`` and the candidate
-    constraint is guaranteed a unique real root (degree one, or odd degree
-    with constant leading coefficient).
+    constraint is guaranteed a real root (degree one, or odd degree with
+    constant leading coefficient).  Odd degree above one may have several
+    real roots; the lift then takes the one nearest its warm start.
     """
     by_mvar = {p.main_variable(): p for p in sys.polynomials}
     n = len(sys.order)
@@ -227,7 +230,7 @@ def whitney_partition(
         for v in sorted(sys.algebraic_vars, reverse=True):
             if d <= target:
                 break
-            if not _unique_real_root_guaranteed(by_mvar[v]):
+            if not _real_root_guaranteed(by_mvar[v]):
                 break
             chosen.append(v)
             d -= 1

@@ -2,14 +2,26 @@
 
 from __future__ import annotations
 
+import os
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import polydescent
 from polydescent.polynomials import Monomial, Polynomial, VariableOrder, parse_polynomial
 from polydescent.triangular import validate_triangular, whitney_partition
+
+
+@pytest.fixture(scope="session", autouse=True)
+def child_pythonpath():
+    """Let the Python processes the tests start import the package under test."""
+    src = str(Path(polydescent.__file__).resolve().parents[1])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", src, prepend=os.pathsep)
+        yield
 
 
 def random_polynomial(

@@ -17,7 +17,7 @@ from polydescent.descent import (
     descend,
     random_unit_direction,
 )
-from polydescent.geometry import pullback_objective, residuals
+from polydescent.geometry import lift, pullback_objective, residuals
 from polydescent.polynomials import VariableOrder, parse_polynomial
 from polydescent.triangular import validate_triangular, whitney_partition
 
@@ -123,7 +123,6 @@ class TestDescendHyperbola:
 
     def test_lifted_points_feasible(self, quartic4):
         from conftest import quartic4_originals
-        from polydescent.geometry import lift
 
         f = parse_polynomial("x^2 + u^2 - 4*x - 4*u + 8", quartic4.order)
         cfg = DescentConfig(alpha0=0.25, j_max=200, seed=5)
@@ -164,6 +163,27 @@ class TestProcedureLaws:
         for rec in trace.records[::7]:
             r = residuals(curve3, np.array(rec.coords))
             assert float(np.max(np.abs(r))) <= cfg.projection.residual_tol
+
+    @pytest.mark.parametrize("j_max", [0, 11])
+    def test_final_ambient_is_the_accepted_lift(self, j_max):
+        # z^3 - 3z - x has three real roots near x = 0.8, so the final point
+        # must stay on the sheet the accepted polls were lifted to; the
+        # 11-iteration run ends on an unsuccessful poll, whose lift is not it
+        order = VariableOrder(["u", "x", "y", "z"])
+        polys = [
+            parse_polynomial(t, order)
+            for t in ("u^2 + x^2 - 1", "y - u", "z^3 - 3*z - x")
+        ]
+        part = whitney_partition(validate_triangular(polys, order), "auto")
+        assert part.eliminated == (3,)
+        f = parse_polynomial("z - y", order)
+        cfg = DescentConfig(alpha0=0.25, j_max=j_max, seed=4)
+        trace = descend(DescentProblem(part, f, np.array([0.6, 0.8, 0.6])), cfg)
+        amb = trace.final_ambient
+        assert np.array_equal(amb[list(part.retained)], trace.final_reduced)
+        assert f.evaluate(amb) == trace.final_objective
+        relifted = lift(part, trace.final_reduced, warm=[amb[3]])
+        assert np.array_equal(relifted, amb)
 
     def test_determinism(self, curve3):
         f = parse_polynomial("y", curve3.order)

@@ -135,6 +135,30 @@ class TestLift:
         assert lift(part, [4.0], warm=[1.5])[1] == pytest.approx(2.0, abs=1e-12)
         assert lift(part, [4.0], warm=[-0.1])[1] == pytest.approx(-2.0, abs=1e-12)
 
+    def test_close_root_pair_is_found(self):
+        # y = x +- 0.01: both roots are real and share one cell of any grid
+        # coarser than their gap
+        part = _partition(
+            ["u", "x", "y"],
+            ["u^2 + x^2 - 1", "y^2 - 2*x*y + x^2 - 1/10000"],
+            eliminate_names=["y"],
+        )
+        for warm, root in ((0.785, 0.79), (0.815, 0.81)):
+            amb = lift(part, [0.6, 0.8], warm=[warm])
+            assert amb[2] == pytest.approx(root, abs=1e-12)
+
+    @pytest.mark.parametrize("exponent", [90, 200])
+    def test_huge_coefficient_root_is_polished(self, exponent):
+        literal = "1" + "0" * exponent
+        part = _partition(
+            ["x", "y"], ["x - 2", f"y^3 + {literal}*x"], eliminate_names=["y"]
+        )
+        amb = lift(part, [2.0])
+        g = part.g_circ[0]
+        scale = abs(amb[1]) ** 3 + 2 * 10.0**exponent
+        assert math.isfinite(amb[1])
+        assert abs(g.evaluate(amb)) <= 1e-12 * scale
+
     def test_vanishing_constraint_is_ambiguous(self):
         part = _partition(["x", "y"], ["x", "x*y"], eliminate_names=["y"])
         with pytest.raises(AmbiguousRootError):

@@ -152,7 +152,7 @@ class TestPartition:
         assert part.reduced_dim == 3
 
     def test_auto_uniqueness_guard(self):
-        # z4 enters through an even power: no guaranteed unique real root,
+        # y enters through an even power: no guaranteed real root,
         # so auto must stop before eliminating anything
         order = VariableOrder(["u1", "u2", "x", "y"])
         polys = [
