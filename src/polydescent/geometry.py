@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import mul
 
 import numpy as np
 
@@ -178,21 +180,18 @@ def project_to_manifold(
     r_init = None
     for n in range(cfg.max_iters + 1):
         g = compiled_residuals(q)
-        r = max(abs(v) for v in g)
+        r = max(map(abs, g))
         if r <= cfg.residual_tol:
             return np.array(q)
         if r_init is None:
             r_init = r
         elif r > cfg.divergence_factor * r_init:
             return None
-        if sum((a - b) ** 2 for a, b in zip(q, q0)) > radius_sq:
+        if sum([(a - b) ** 2 for a, b in zip(q, q0)]) > radius_sq:
             return None
         if n == cfg.max_iters:
             return None
-        q = [
-            qi - sum(nc * gc for nc, gc in zip(row, g))
-            for qi, row in zip(q, n_rows)
-        ]
+        q = [qi - sum(map(mul, row, g)) for qi, row in zip(q, n_rows)]
     return None
 
 
@@ -258,15 +257,22 @@ def _real_roots(coeffs: list[float]) -> list[float] | None:
     if d == 1:
         return [-coeffs[0] / coeffs[1]]
 
-    bound = 1.0 + max(abs(c) for c in coeffs[:d]) / abs(coeffs[d])
+    bound = 1.0 + max(map(abs, coeffs[:d])) / abs(coeffs[d])
     dcoeffs = [coeffs[e] * e for e in range(1, d + 1)]
-    knots = [-bound, *_real_roots(dcoeffs), bound]
+    knots = [-bound, *_critical_points(tuple(dcoeffs)), bound]
     vals = [_horner(coeffs, x) for x in knots]
     roots = [x for x, f in zip(knots, vals) if f == 0.0]
     for lo, hi, flo, fhi in zip(knots, knots[1:], vals, vals[1:]):
         if flo < 0.0 < fhi or fhi < 0.0 < flo:
             roots.append(_bracketed_newton(coeffs, dcoeffs, lo, hi, fhi > 0.0))
     return sorted(roots)
+
+
+@lru_cache(maxsize=256)
+def _critical_points(dcoeffs: tuple[float, ...]) -> tuple[float, ...]:
+    # a stage's derivative is often the same at every point (y^5 + c has
+    # 5*y^4 everywhere), so its roots are worth remembering
+    return tuple(_real_roots(list(dcoeffs)))
 
 
 # -- the lift ------------------------------------------------------------------

@@ -8,7 +8,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial.polynomial import polymul
 
-from polydescent.geometry import _real_roots
+from polydescent.geometry import _critical_points, _real_roots
 
 EPS = sys.float_info.epsilon
 
@@ -46,3 +46,15 @@ def test_root_at_a_critical_point():
     assert _real_roots([0.0, 0.0, 0.0, 1.0]) == [0.0]
     assert _real_roots([1.0, -2.0, 1.0]) == [1.0]
     assert _real_roots([0.0, 0.0]) is None
+
+
+def test_remembered_critical_points_leave_results_unchanged():
+    # the curve's stage y^5 + c has the derivative 5*y^4 at every point, so
+    # the second solve reads its critical points from the cache
+    first = _real_roots([0.5, 0.0, 0.0, 0.0, 0.0, 1.0])
+    hits = _critical_points.cache_info().hits
+    first.append(99.0)
+    second = _real_roots([0.5, 0.0, 0.0, 0.0, 0.0, 1.0])
+    assert _critical_points.cache_info().hits > hits
+    assert second == first[:-1]
+    assert len(second) == 1 and abs(second[0] ** 5 + 0.5) <= 8 * EPS
