@@ -30,11 +30,11 @@ from .geometry import (
     NoRealRootError,
     NotRegularError,
     ProjectionConfig,
+    PulledBackObjective,
     TangentFrame,
     jacobian,
     lift,
     project_to_manifold,
-    pullback_objective,
     residuals,
     tangent_frame,
 )

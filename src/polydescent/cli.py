@@ -107,8 +107,6 @@ def _error_code(exc: BaseException) -> str:
 class ProblemFile:
     """A parsed, validated problem: partition plus objective and start point."""
 
-    path: str
-    order: VariableOrder
     constraints: list[Polynomial]
     objective: Polynomial
     partition: WhitneyPartition
@@ -232,7 +230,7 @@ def load_problem(
             )
         start = projected
 
-    return ProblemFile(path, order, constraints, objective, partition, start)
+    return ProblemFile(constraints, objective, partition, start)
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -385,9 +383,10 @@ def _cmd_validate(args) -> int:
 
 
 def _add_proj_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--proj-tol", type=float, default=1e-10)
-    parser.add_argument("--proj-max-iter", type=int, default=50)
-    parser.add_argument("--oracle-radius", type=float, default=0.5)
+    d = DEFAULT_PROJECTION
+    parser.add_argument("--proj-tol", type=float, default=d.residual_tol)
+    parser.add_argument("--proj-max-iter", type=int, default=d.max_iters)
+    parser.add_argument("--oracle-radius", type=float, default=d.oracle_radius)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -403,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--alpha0", type=float, default=0.25)
     run.add_argument("--alpha-max", type=float, default=math.inf)
     run.add_argument("--c-forcing", type=float, default=None)
-    run.add_argument("--max-iter", type=int, default=1000)
+    run.add_argument("--max-iter", type=int, default=DescentConfig.j_max)
     _add_proj_flags(run)
     run.add_argument("--trace", default=None)
     run.add_argument("--report", default=None)

@@ -23,7 +23,6 @@ from .geometry import (
     ProjectionConfig,
     PulledBackObjective,
     project_to_manifold,
-    pullback_objective,
     residuals,
     tangent_frame,
 )
@@ -32,6 +31,10 @@ from .triangular import WhitneyPartition
 SUCCESS = "SUCCESS"
 UNSUCCESSFUL = "UNSUCCESSFUL"
 REBASE = "REBASE"
+
+SHRINK = 0.5  # step factor after a failed poll or a re-base
+EXPAND = 2.0  # step factor after a success, capped by alpha_max
+ALPHA_TOL = 1e-8  # a final step below this counts as converged
 
 
 class InvalidStartError(ValueError):
@@ -42,15 +45,15 @@ class InvalidStartError(ValueError):
 class DescentConfig:
     """Parameters of the polling loop.
 
-    ``c_forcing`` is the C in the sufficient-decrease threshold C * alpha^2;
-    left as None it is chosen as 1e-4 * (1 + |f at the start|) so the
-    threshold is meaningful across objective scales.
+    The step law is fixed: the step halves after a failed poll or a re-base
+    and doubles after a success, never beyond ``alpha_max``.  ``c_forcing``
+    is the C in the sufficient-decrease threshold C * alpha^2; left as None
+    it is chosen as 1e-4 * (1 + |f at the start|) so the threshold is
+    meaningful across objective scales.
     """
 
     alpha0: float
     alpha_max: float = math.inf
-    theta: float = 0.5
-    gamma: float = 2.0
     c_forcing: float | None = None
     j_max: int = 1000
     seed: int = 0
@@ -59,10 +62,6 @@ class DescentConfig:
     def __post_init__(self):
         if not 0 < self.alpha0 <= self.alpha_max:
             raise ValueError("need 0 < alpha0 <= alpha_max")
-        if not 0 < self.theta < 1:
-            raise ValueError("theta must lie in (0, 1)")
-        if self.gamma <= 1:
-            raise ValueError("gamma must exceed 1")
         if self.c_forcing is not None and self.c_forcing <= 0:
             raise ValueError("c_forcing must be positive")
         if self.j_max < 0:
@@ -115,14 +114,12 @@ def random_unit_direction(rng: np.random.Generator, m: int) -> np.ndarray:
 
 
 def check_convergence(
-    trace: DescentTrace | Iterable[TraceRecord],
-    window: int,
-    alpha_tol: float = 1e-8,
+    trace: DescentTrace | Iterable[TraceRecord], window: int
 ) -> bool:
     """True when the base point held still and the step size died down.
 
     Checks that no re-base happened in the final ``window`` iterations and
-    that the last step size fell below ``alpha_tol``.
+    that the last step size fell below 1e-8 (``ALPHA_TOL``).
     """
     records = trace.records if isinstance(trace, DescentTrace) else list(trace)
     if not records:
@@ -130,7 +127,7 @@ def check_convergence(
     tail = records[-window:] if window > 0 else records
     if any(r.event == REBASE for r in tail):
         return False
-    return records[-1].alpha < alpha_tol
+    return records[-1].alpha < ALPHA_TOL
 
 
 def _poll_value(ftilde: PulledBackObjective, p: np.ndarray) -> float | None:
@@ -172,7 +169,7 @@ def descend(
             f"tolerance {pcfg.residual_tol:.3e}"
         )
 
-    ftilde = pullback_objective(problem.objective, part)
+    ftilde = PulledBackObjective(problem.objective, part)
     f0 = ftilde(p0)
     c_forcing = (
         cfg.c_forcing if cfg.c_forcing is not None else 1e-4 * (1.0 + abs(f0))
@@ -199,7 +196,7 @@ def descend(
             # oracle failure: re-base the tangent frame at the current point
             frame = tangent_frame(part, p)
             w = np.zeros(m)
-            alpha = cfg.theta * alpha_j
+            alpha = SHRINK * alpha_j
             event = REBASE
         else:
             threshold = f_current - c_forcing * alpha_j * alpha_j
@@ -215,10 +212,10 @@ def descend(
                     accepted = True
             if accepted:
                 ambient = ftilde.last_ambient
-                alpha = min(cfg.alpha_max, cfg.gamma * alpha_j)
+                alpha = min(cfg.alpha_max, EXPAND * alpha_j)
                 event = SUCCESS
             else:
-                alpha = cfg.theta * alpha_j
+                alpha = SHRINK * alpha_j
                 event = UNSUCCESSFUL
 
         rec = TraceRecord(j, alpha_j, f_current, event, tuple(p.tolist()))

@@ -31,31 +31,29 @@ class NotRegularError(Exception):
 
 
 class LiftError(Exception):
-    """The implicit-function lift failed at a reduced point."""
+    """The implicit-function lift failed at a reduced point (cause: ``prefix``)."""
+
+    prefix = "lift failed"
+
+    def __init__(self, stage: int, var_name: str, detail: str):
+        super().__init__(
+            f"{self.prefix} for eliminated variable '{var_name}' "
+            f"(stage {stage}): {detail}"
+        )
+        self.stage = stage
+        self.var_name = var_name
 
 
 class NoRealRootError(LiftError):
     """An eliminated constraint has no real solution at this point."""
 
-    def __init__(self, stage: int, var_name: str, detail: str):
-        super().__init__(
-            f"no real root for eliminated variable '{var_name}' "
-            f"(stage {stage}): {detail}"
-        )
-        self.stage = stage
-        self.var_name = var_name
+    prefix = "no real root"
 
 
 class AmbiguousRootError(LiftError):
     """Two real roots are equidistant from the warm start; the lift is not unique."""
 
-    def __init__(self, stage: int, var_name: str, detail: str):
-        super().__init__(
-            f"ambiguous root for eliminated variable '{var_name}' "
-            f"(stage {stage}): {detail}"
-        )
-        self.stage = stage
-        self.var_name = var_name
+    prefix = "ambiguous root"
 
 
 @dataclass(frozen=True)
@@ -65,15 +63,9 @@ class ProjectionConfig:
     residual_tol: float = 1e-10
     max_iters: int = 50
     oracle_radius: float = 0.5
-    divergence_factor: float = 1e6
 
     def __post_init__(self):
-        if not (
-            self.residual_tol > 0
-            and self.max_iters > 0
-            and self.oracle_radius > 0
-            and self.divergence_factor > 0
-        ):
+        if not (self.residual_tol > 0 and self.max_iters > 0 and self.oracle_radius > 0):
             raise ValueError("all projection parameters must be positive")
 
 
@@ -167,8 +159,8 @@ def project_to_manifold(
     Starting from ``q0 = base + U w``, iterates ``q <- q - N g*(q)`` with the
     pseudoinverse frozen at the base point.  Returns the on-manifold point,
     or None when the iteration leaves the ``oracle_radius`` ball around
-    ``q0``, blows up its residual by ``divergence_factor``, or fails to meet
-    ``residual_tol`` within ``max_iters`` updates.  None is the oracle
+    ``q0``, its residual exceeds 1e6 times its first value, or it fails to
+    meet ``residual_tol`` within ``max_iters`` updates.  None is the oracle
     saying the implicit function theorem stopped holding out here.
     """
     compiled_residuals = frame.partition.compiled.residuals
@@ -185,7 +177,7 @@ def project_to_manifold(
             return np.array(q)
         if r_init is None:
             r_init = r
-        elif r > cfg.divergence_factor * r_init:
+        elif r > 1e6 * r_init:
             return None
         if sum([(a - b) ** 2 for a, b in zip(q, q0)]) > radius_sq:
             return None
@@ -356,12 +348,3 @@ class PulledBackObjective:
         self._warm = [vals[v] for v in self.partition.eliminated]
         self.last_ambient = np.array(vals)
         return self._fn(vals)
-
-    @property
-    def warm(self) -> list[float] | None:
-        return list(self._warm) if self._warm is not None else None
-
-
-def pullback_objective(objective, part: WhitneyPartition) -> PulledBackObjective:
-    """Compose an ambient objective (Polynomial or callable) with the lift."""
-    return PulledBackObjective(objective, part)

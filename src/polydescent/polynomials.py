@@ -168,16 +168,8 @@ class Polynomial:
         self.terms = {m: c for m, c in terms.items() if c != 0}
 
     @classmethod
-    def zero(cls, order: VariableOrder) -> Polynomial:
-        return cls(order, {})
-
-    @classmethod
     def constant(cls, order: VariableOrder, value) -> Polynomial:
         return cls(order, {Monomial(): Fraction(value)})
-
-    @classmethod
-    def variable(cls, order: VariableOrder, var: int) -> Polynomial:
-        return cls(order, {Monomial(((var, 1),)): Fraction(1)})
 
     # -- structure --------------------------------------------------------
 
@@ -259,10 +251,6 @@ class Polynomial:
                 m = ma * mb
                 out[m] = out.get(m, Fraction(0)) + ca * cb
         return Polynomial(self.order, out)
-
-    def scale(self, factor) -> Polynomial:
-        f = Fraction(factor)
-        return Polynomial(self.order, {m: c * f for m, c in self.terms.items()})
 
     # -- calculus ---------------------------------------------------------
 

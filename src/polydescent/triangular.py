@@ -113,16 +113,6 @@ class WhitneyPartition:
     def manifold_dim(self) -> int:
         return self.reduced_dim - len(self.g_star)
 
-    @property
-    def retained_free(self) -> tuple[int, ...]:
-        """The u-block: retained variables that are free in the system."""
-        return tuple(v for v in self.retained if v in self.system.free_vars)
-
-    @property
-    def retained_algebraic(self) -> tuple[int, ...]:
-        """The x-block: retained variables that are still constrained."""
-        return tuple(v for v in self.retained if v in self.system.algebraic_vars)
-
     def retained_names(self) -> tuple[str, ...]:
         return tuple(self.order[v] for v in self.retained)
 

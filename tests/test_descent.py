@@ -17,7 +17,7 @@ from polydescent.descent import (
     descend,
     random_unit_direction,
 )
-from polydescent.geometry import lift, pullback_objective, residuals
+from polydescent.geometry import PulledBackObjective, lift, residuals
 from polydescent.polynomials import VariableOrder, parse_polynomial
 from polydescent.triangular import validate_triangular, whitney_partition
 
@@ -140,7 +140,7 @@ class TestProcedureLaws:
         start = np.array([0.0, 1.0])
         cfg = DescentConfig(alpha0=0.25, alpha_max=0.4, j_max=400, seed=1)
         trace = descend(DescentProblem(curve3, f, start), cfg)
-        ftilde = pullback_objective(f, curve3)
+        ftilde = PulledBackObjective(f, curve3)
         f_prev = ftilde(start)
         alpha_prev = None
         for rec in trace.records:

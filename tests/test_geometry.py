@@ -9,10 +9,10 @@ from polydescent.geometry import (
     NoRealRootError,
     NotRegularError,
     ProjectionConfig,
+    PulledBackObjective,
     jacobian,
     lift,
     project_to_manifold,
-    pullback_objective,
     residuals,
     tangent_frame,
 )
@@ -208,31 +208,30 @@ class TestWrongLength:
 class TestPullback:
     def test_height_objective(self, curve3):
         f = parse_polynomial("y", curve3.order)
-        ftilde = pullback_objective(f, curve3)
+        ftilde = PulledBackObjective(f, curve3)
         assert ftilde(np.array([1.0, 0.0])) == pytest.approx(-1.0, abs=1e-12)
 
     def test_retained_only_objective_is_identity(self, curve3):
         f = parse_polynomial("x^2 + u^2", curve3.order)
-        ftilde = pullback_objective(f, curve3)
+        ftilde = PulledBackObjective(f, curve3)
         p = curve3_point(0.4)
         assert ftilde(p) == pytest.approx(p[0] ** 2 + p[1] ** 2, abs=1e-12)
 
     def test_sum_objective_on_quartic(self, quartic4):
         f = parse_polynomial("u + x + y1 + y2", quartic4.order)
-        ftilde = pullback_objective(f, quartic4)
+        ftilde = PulledBackObjective(f, quartic4)
         assert ftilde(np.array([1.0, 1.0])) == pytest.approx(0.0, abs=1e-12)
 
     def test_warm_start_tracks_path(self, curve3):
         f = parse_polynomial("y", curve3.order)
-        ftilde = pullback_objective(f, curve3)
-        assert ftilde.warm is None
+        ftilde = PulledBackObjective(f, curve3)
+        assert ftilde.last_ambient is None
         ftilde(curve3_point(0.2))
-        w1 = ftilde.warm
-        assert w1 is not None and len(w1) == 1
+        a1 = ftilde.last_ambient
+        assert a1 is not None and len(a1) == 3
         ftilde(curve3_point(0.25))
-        assert ftilde.warm != w1
-        assert ftilde.last_ambient is not None
+        assert ftilde.last_ambient[2] != a1[2]
 
     def test_callable_objective(self, curve3):
-        ftilde = pullback_objective(lambda z: float(z[2] ** 2), curve3)
+        ftilde = PulledBackObjective(lambda z: float(z[2] ** 2), curve3)
         assert ftilde(np.array([1.0, 0.0])) == pytest.approx(1.0, abs=1e-12)

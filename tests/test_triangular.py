@@ -76,8 +76,6 @@ class TestPartition:
         )
         assert part.reduced_dim == 2
         assert part.manifold_dim == 1
-        assert part.retained_free == (0,)
-        assert part.retained_algebraic == (1,)
 
     def test_curve_elimination(self):
         polys = [
