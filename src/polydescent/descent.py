@@ -32,10 +32,6 @@ SUCCESS = "SUCCESS"
 UNSUCCESSFUL = "UNSUCCESSFUL"
 REBASE = "REBASE"
 
-SHRINK = 0.5  # step factor after a failed poll or a re-base
-EXPAND = 2.0  # step factor after a success, capped by alpha_max
-ALPHA_TOL = 1e-8  # a final step below this counts as converged
-
 
 class InvalidStartError(ValueError):
     """The supplied start point is not on the reduced manifold."""
@@ -113,13 +109,11 @@ def random_unit_direction(rng: np.random.Generator, m: int) -> np.ndarray:
             return v / n
 
 
-def check_convergence(
-    trace: DescentTrace | Iterable[TraceRecord], window: int
-) -> bool:
+def check_convergence(trace: DescentTrace | Iterable[TraceRecord], window: int) -> bool:
     """True when the base point held still and the step size died down.
 
     Checks that no re-base happened in the final ``window`` iterations and
-    that the last step size fell below 1e-8 (``ALPHA_TOL``).
+    that the last step size fell below 1e-8.
     """
     records = trace.records if isinstance(trace, DescentTrace) else list(trace)
     if not records:
@@ -127,7 +121,7 @@ def check_convergence(
     tail = records[-window:] if window > 0 else records
     if any(r.event == REBASE for r in tail):
         return False
-    return records[-1].alpha < ALPHA_TOL
+    return records[-1].alpha < 1e-8
 
 
 def _poll_value(ftilde: PulledBackObjective, p: np.ndarray) -> float | None:
@@ -196,7 +190,7 @@ def descend(
             # oracle failure: re-base the tangent frame at the current point
             frame = tangent_frame(part, p)
             w = np.zeros(m)
-            alpha = SHRINK * alpha_j
+            alpha = 0.5 * alpha_j
             event = REBASE
         else:
             threshold = f_current - c_forcing * alpha_j * alpha_j
@@ -212,10 +206,10 @@ def descend(
                     accepted = True
             if accepted:
                 ambient = ftilde.last_ambient
-                alpha = min(cfg.alpha_max, EXPAND * alpha_j)
+                alpha = min(cfg.alpha_max, 2.0 * alpha_j)
                 event = SUCCESS
             else:
-                alpha = SHRINK * alpha_j
+                alpha = 0.5 * alpha_j
                 event = UNSUCCESSFUL
 
         rec = TraceRecord(j, alpha_j, f_current, event, tuple(p.tolist()))

@@ -231,7 +231,7 @@ def _real_roots(coeffs: list[float]) -> list[float] | None:
 
     The polynomial is monotone between consecutive real roots of its
     derivative, so those roots (found by recursion down to the linear closed
-    form), closed at both ends by the Cauchy root bound, cut the line into
+    form), closed at both ends by Fujiwara's root bound, cut the line into
     intervals holding at most one root each.  Every interval whose ends
     differ in sign is closed with :func:`_bracketed_newton`.  Roots of even
     multiplicity produce no sign change and are found only where the value
@@ -249,7 +249,13 @@ def _real_roots(coeffs: list[float]) -> list[float] | None:
     if d == 1:
         return [-coeffs[0] / coeffs[1]]
 
-    bound = 1.0 + max(map(abs, coeffs[:d])) / abs(coeffs[d])
+    # each ratio |c_i / c_d|^(1/(d-i)) is taken as a ratio of roots so that
+    # it cannot overflow where the root itself is representable
+    lead = abs(coeffs[d])
+    bound = 1.0 + 2.0 * max(
+        abs(c) ** (1.0 / (d - i)) / lead ** (1.0 / (d - i))
+        for i, c in enumerate(coeffs[:d])
+    )
     dcoeffs = [coeffs[e] * e for e in range(1, d + 1)]
     knots = [-bound, *_critical_points(tuple(dcoeffs)), bound]
     vals = [_horner(coeffs, x) for x in knots]

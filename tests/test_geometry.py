@@ -92,6 +92,14 @@ class TestProjection:
         assert project_to_manifold(frame, [10.0]) is None
         assert project_to_manifold(frame, [-10.0]) is None
 
+    def test_divergence_fails(self, circle):
+        # neither the radius nor the iteration cap can stop this chord
+        # iteration; only the residual growing past 1e6 times its first
+        # value does, before the residual overflows
+        frame = tangent_frame(circle, [0.0, 1.0])
+        cfg = ProjectionConfig(oracle_radius=1e300, max_iters=10**6)
+        assert project_to_manifold(frame, [10.0], cfg) is None
+
     def test_success_respects_radius_and_tol(self, curve3):
         rng = np.random.default_rng(5)
         cfg = ProjectionConfig()

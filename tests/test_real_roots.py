@@ -58,3 +58,26 @@ def test_remembered_critical_points_leave_results_unchanged():
     assert _critical_points.cache_info().hits > hits
     assert second == first[:-1]
     assert len(second) == 1 and abs(second[0] ** 5 + 0.5) <= 8 * EPS
+
+
+def test_root_bound_does_not_overflow():
+    # the leading and constant coefficients are each representable, and so
+    # is the root -1e200, but their plain ratio 1e600 is not
+    roots = _real_roots([1e300, 0.0, 0.0, 1e-300])
+    assert len(roots) == 1 and abs(roots[0] / -1e200 - 1.0) <= 4 * EPS
+
+
+def test_polish_starts_near_a_far_root(monkeypatch):
+    # with the root bound 1 + |c| the polish started at -5e89 and Newton
+    # crept to -1e30 by a factor 2/3 per step, about 700 evaluations
+    from polydescent import geometry
+
+    calls = []
+    horner = geometry._horner
+    monkeypatch.setattr(
+        geometry, "_horner", lambda coeffs, y: calls.append(y) or horner(coeffs, y)
+    )
+    _critical_points.cache_clear()
+    roots = _real_roots([1e90, 0.0, 0.0, 1.0])
+    assert len(roots) == 1 and abs(roots[0] / -1e30 - 1.0) <= 4 * EPS
+    assert len(calls) <= 20
