@@ -249,13 +249,16 @@ def _real_roots(coeffs: list[float]) -> list[float] | None:
     if d == 1:
         return [-coeffs[0] / coeffs[1]]
 
-    # each ratio |c_i / c_d|^(1/(d-i)) is taken as a ratio of roots so that
-    # it cannot overflow where the root itself is representable
+    # Fujiwara's bound; each |c_i / c_d|^(1/(d-i)) is a ratio of roots so it
+    # cannot overflow where the root is representable (a loop: this is hot)
     lead = abs(coeffs[d])
-    bound = 1.0 + 2.0 * max(
-        abs(c) ** (1.0 / (d - i)) / lead ** (1.0 / (d - i))
-        for i, c in enumerate(coeffs[:d])
-    )
+    ratio = 0.0
+    for i in range(d):
+        k = 1.0 / (d - i)
+        r = abs(coeffs[i]) ** k / lead ** k
+        if r > ratio:
+            ratio = r
+    bound = 1.0 + 2.0 * ratio
     dcoeffs = [coeffs[e] * e for e in range(1, d + 1)]
     knots = [-bound, *_critical_points(tuple(dcoeffs)), bound]
     vals = [_horner(coeffs, x) for x in knots]

@@ -51,8 +51,8 @@ class TestLoadProblem:
     def test_curve_problem(self, curve_file):
         pf = load_problem(curve_file)
         part = pf.partition
-        assert part.g_star == (parse_polynomial("u^4 + x^2 - 1", pf.partition.order),)
-        assert part.g_circ == (parse_polynomial("u^2 + x^3 + y^5", pf.partition.order),)
+        assert part.g_star == (parse_polynomial("u^4 + x^2 - 1", part.order),)
+        assert part.g_circ == (parse_polynomial("u^2 + x^3 + y^5", part.order),)
         assert part.retained_names() == ("u", "x")
         assert np.allclose(pf.start, [0.0, 1.0])
 

@@ -8,6 +8,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial.polynomial import polymul
 
+from polydescent import geometry
 from polydescent.geometry import _critical_points, _real_roots
 
 EPS = sys.float_info.epsilon
@@ -68,10 +69,9 @@ def test_root_bound_does_not_overflow():
 
 
 def test_polish_starts_near_a_far_root(monkeypatch):
-    # with the root bound 1 + |c| the polish started at -5e89 and Newton
-    # crept to -1e30 by a factor 2/3 per step, about 700 evaluations
-    from polydescent import geometry
-
+    # the polish starts midway between the root bound and the critical
+    # point 0; from far outside the root, Newton on y^3 + c closes in by only
+    # a factor 2/3 per step, so the bound must be near |root| = 1e30
     calls = []
     horner = geometry._horner
     monkeypatch.setattr(
