@@ -125,10 +125,12 @@ def check_convergence(trace: DescentTrace | Iterable[TraceRecord], window: int) 
 
 
 def _poll_value(ftilde: PulledBackObjective, p: np.ndarray) -> float | None:
+    # a lift error, an OverflowError or a value that is not finite fails the poll
     try:
-        return ftilde(p)
-    except LiftError:
+        value = ftilde(p)
+    except (LiftError, OverflowError):
         return None
+    return value if math.isfinite(value) else None
 
 
 def descend(
@@ -140,10 +142,12 @@ def descend(
 
     Every candidate passes through the projection oracle, so all trace
     points satisfy the retained constraints to the projection tolerance.
-    A lift failure while evaluating the objective merely fails that poll
-    direction; a projection failure on either direction triggers a re-base.
-    Identical problem and config (seed included) reproduce the trace bit
-    for bit.
+    A lift failure, an overflow or a value that is not finite while
+    evaluating the objective merely fails that poll direction; a projection
+    failure on either direction triggers a re-base.  Raises
+    :class:`InvalidStartError` when the start is off the manifold or its
+    objective value is not finite.  Identical problem and config (seed
+    included) reproduce the trace bit for bit.
     """
     part = problem.partition
     m = part.manifold_dim
@@ -165,6 +169,8 @@ def descend(
 
     ftilde = PulledBackObjective(problem.objective, part)
     f0 = ftilde(p0)
+    if not math.isfinite(f0):
+        raise InvalidStartError(f"objective at the start is {f0}")
     c_forcing = (
         cfg.c_forcing if cfg.c_forcing is not None else 1e-4 * (1.0 + abs(f0))
     )
@@ -181,36 +187,26 @@ def descend(
     for j in range(cfg.j_max):
         alpha_j = alpha
         u = random_unit_direction(rng, m)
-        w_plus = w + alpha_j * u
-        w_minus = w - alpha_j * u
-        p_plus = project_to_manifold(frame, w_plus, pcfg)
-        p_minus = project_to_manifold(frame, w_minus, pcfg)
+        steps = (w + alpha_j * u, w - alpha_j * u)
+        points = [project_to_manifold(frame, step, pcfg) for step in steps]
 
-        if p_plus is None or p_minus is None:
+        alpha = 0.5 * alpha_j
+        if points[0] is None or points[1] is None:
             # oracle failure: re-base the tangent frame at the current point
             frame = tangent_frame(part, p)
             w = np.zeros(m)
-            alpha = 0.5 * alpha_j
             event = REBASE
         else:
             threshold = f_current - c_forcing * alpha_j * alpha_j
-            accepted = False
-            f_plus = _poll_value(ftilde, p_plus)
-            if f_plus is not None and f_plus < threshold:
-                p, w, f_current = p_plus, w_plus, f_plus
-                accepted = True
-            else:
-                f_minus = _poll_value(ftilde, p_minus)
-                if f_minus is not None and f_minus < threshold:
-                    p, w, f_current = p_minus, w_minus, f_minus
-                    accepted = True
-            if accepted:
-                ambient = ftilde.last_ambient
-                alpha = min(cfg.alpha_max, 2.0 * alpha_j)
-                event = SUCCESS
-            else:
-                alpha = 0.5 * alpha_j
-                event = UNSUCCESSFUL
+            event = UNSUCCESSFUL
+            for point, step in zip(points, steps):
+                f_poll = _poll_value(ftilde, point)
+                if f_poll is not None and f_poll < threshold:
+                    p, w, f_current = point, step, f_poll
+                    ambient = ftilde.last_ambient
+                    alpha = min(cfg.alpha_max, 2.0 * alpha_j)
+                    event = SUCCESS
+                    break
 
         rec = TraceRecord(j, alpha_j, f_current, event, tuple(p.tolist()))
         records.append(rec)

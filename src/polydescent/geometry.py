@@ -159,9 +159,10 @@ def project_to_manifold(
     Starting from ``q0 = base + U w``, iterates ``q <- q - N g*(q)`` with the
     pseudoinverse frozen at the base point.  Returns the on-manifold point,
     or None when the iteration leaves the ``oracle_radius`` ball around
-    ``q0``, its residual exceeds 1e6 times its first value, or it fails to
-    meet ``residual_tol`` within ``max_iters`` updates.  None is the oracle
-    saying the implicit function theorem stopped holding out here.
+    ``q0``, its residual exceeds 1e6 times its first value, a residual or
+    that distance overflows, or it fails to meet ``residual_tol`` within
+    ``max_iters`` updates.  None is the oracle saying the implicit function
+    theorem stopped holding out here, and the caller re-bases.
     """
     compiled_residuals = frame.partition.compiled.residuals
     w = np.asarray(w, dtype=float)
@@ -170,20 +171,23 @@ def project_to_manifold(
     n_rows = frame.N.tolist()
     radius_sq = cfg.oracle_radius * cfg.oracle_radius
     r_init = None
-    for n in range(cfg.max_iters + 1):
-        g = compiled_residuals(q)
-        r = max(map(abs, g))
-        if r <= cfg.residual_tol:
-            return np.array(q)
-        if r_init is None:
-            r_init = r
-        elif r > 1e6 * r_init:
-            return None
-        if sum([(a - b) ** 2 for a, b in zip(q, q0)]) > radius_sq:
-            return None
-        if n == cfg.max_iters:
-            return None
-        q = [qi - sum(map(mul, row, g)) for qi, row in zip(q, n_rows)]
+    try:
+        for n in range(cfg.max_iters + 1):
+            g = compiled_residuals(q)
+            r = max(map(abs, g))
+            if r <= cfg.residual_tol:
+                return np.array(q)
+            if r_init is None:
+                r_init = r
+            elif r > 1e6 * r_init:
+                return None
+            if sum([(a - b) ** 2 for a, b in zip(q, q0)]) > radius_sq:
+                return None
+            if n == cfg.max_iters:
+                return None
+            q = [qi - sum(map(mul, row, g)) for qi, row in zip(q, n_rows)]
+    except OverflowError:
+        pass  # a residual or the distance from q0 left the float range
     return None
 
 

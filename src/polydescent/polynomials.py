@@ -50,8 +50,8 @@ Terms = list[tuple[float, tuple[tuple[int, int], ...]]]
 def eval_terms(terms: Terms, vals: Sequence[float]) -> float:
     """Value of a compiled term table at ``vals``, indexed as it was compiled.
 
-    Terms are evaluated independently and summed in table order; overflow
-    propagates as IEEE infinities for the caller to handle.
+    Terms are evaluated independently and summed in table order.  A power
+    past the float range raises ``OverflowError``; other overflow gives inf.
     """
     total = 0.0
     for c, facs in terms:

@@ -130,7 +130,8 @@ class CompiledSystem:
     evaluation of a partition reads these tables with plain Python floats.
     ``residuals``, ``jacobian`` and ``hessians`` take reduced coordinates
     (one value per retained variable); ``stage_coeffs`` takes an ambient
-    point.  The Hessian tables are compiled on their first use.
+    point.  ``hessians`` evaluates only the nonzero second partials, whose
+    tables are compiled on first use.
     """
 
     def __init__(self, part: WhitneyPartition):
@@ -151,13 +152,14 @@ class CompiledSystem:
             self._stages.append(tables)
 
     @cached_property
-    def _hess(self) -> list[list[list[Terms]]]:
-        # upper triangle only: [c][a][b - a] holds d2 g_c / dv_a dv_b for b >= a
-        ret = self._retained
+    def _hess(self) -> list[tuple[int, int, int, Terms]]:
+        # (c, a, b, table) for each nonzero d2 g_c / dv_a dv_b with b >= a
         return [
-            [[da.derivative(vb).compile(self._red_of) for vb in ret[a:]]
-             for a, da in enumerate(row)]
-            for row in self._partials
+            (c, a, b, t)
+            for c, row in enumerate(self._partials)
+            for a, da in enumerate(row)
+            for b, vb in enumerate(self._retained[a:], a)
+            if (t := da.derivative(vb).compile(self._red_of))
         ]
 
     def residuals(self, vals) -> list[float]:
@@ -171,11 +173,9 @@ class CompiledSystem:
     def hessians(self, vals) -> np.ndarray:
         """H[c, a, b]: second partials of retained constraint c."""
         d = len(self._retained)
-        H = np.empty((len(self._g_star), d, d))
-        for c, rows in enumerate(self._hess):
-            for a, row in enumerate(rows):
-                for b, t in enumerate(row, a):
-                    H[c, a, b] = H[c, b, a] = eval_terms(t, vals)
+        H = np.zeros((len(self._g_star), d, d))
+        for c, a, b, t in self._hess:
+            H[c, a, b] = H[c, b, a] = eval_terms(t, vals)
         return H
 
     def stage_coeffs(self, j: int, vals) -> list[float]:

@@ -8,9 +8,11 @@ reduced indices differ from their ambient ones.
 import random
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_polynomial
+import polydescent.triangular as triangular
 from polydescent.geometry import LiftError, lift
 from polydescent.polynomials import Monomial, Polynomial, VariableOrder, parse_polynomial
 from polydescent.triangular import validate_triangular, whitney_partition
@@ -109,3 +111,28 @@ def test_non_prefix_retained_set():
     _check_compiled(part, amb)
     assert part.compiled.jacobian([0.6, 0.8]).tolist() == [[1.2, 1.6]]
     assert part.compiled.stage_coeffs(0, amb) == [-0.36, 1.0]
+
+
+def test_hessians_evaluate_only_nonzero_second_partials(monkeypatch):
+    # 2 constraints over 5 retained variables have 30 upper-triangle second
+    # partials; only d2/du dv of the first and d2/dw^2 of the second are nonzero
+    order = VariableOrder(["u", "v", "w", "x", "y"])
+    polys = [parse_polynomial(t, order) for t in ("x - u*v", "y - w^2 + u")]
+    part = whitney_partition(validate_triangular(polys, order), eliminate=[])
+    calls = []
+    real_eval_terms = triangular.eval_terms
+
+    def counting_eval_terms(terms, vals):
+        calls.append(terms)
+        return real_eval_terms(terms, vals)
+
+    monkeypatch.setattr(triangular, "eval_terms", counting_eval_terms)
+    H = part.compiled.hessians([0.5, -1.0, 2.0, 0.3, 0.7])
+    assert len(calls) == 2
+    expected = np.zeros((2, 5, 5))
+    expected[0, 0, 1] = expected[0, 1, 0] = -1.0
+    expected[1, 2, 2] = -2.0
+    assert H.tolist() == expected.tolist()
+    assert not np.signbit(H[H == 0.0]).any()
+    monkeypatch.undo()
+    _check_compiled(part, [0.5, -1.0, 2.0, 0.3, 0.7])

@@ -17,7 +17,7 @@ from polydescent.descent import (
     descend,
     random_unit_direction,
 )
-from polydescent.geometry import PulledBackObjective, lift, residuals
+from polydescent.geometry import ProjectionConfig, PulledBackObjective, lift, residuals
 from polydescent.polynomials import VariableOrder, parse_polynomial
 from polydescent.triangular import validate_triangular, whitney_partition
 
@@ -236,6 +236,66 @@ class TestProcedureLaws:
         trace = descend(DescentProblem(part, f, np.zeros(2)), cfg)
         assert trace.final_objective < -0.8
         assert any(r.event == UNSUCCESSFUL for r in trace.records)
+
+
+class TestNumericFailures:
+    """Overflow and non-finite values fail a poll or reject the start; no crash."""
+
+    @staticmethod
+    def _line(constraint):
+        order = VariableOrder(["u", "x"])
+        sys = validate_triangular([parse_polynomial(constraint, order)], order)
+        return whitney_partition(sys, "auto")
+
+    def test_overflowing_objective_fails_the_poll(self):
+        # -u^3 keeps doubling its step along x = u until u^3 leaves the
+        # float range, 1,052 iterations in
+        part = self._line("x - u")
+        f = parse_polynomial("-u^3", part.order)
+        cfg = DescentConfig(alpha0=0.25, j_max=1200, seed=0)
+        trace = descend(DescentProblem(part, f, np.zeros(2)), cfg)
+        assert trace.iterations == 1200
+        assert trace.records[1052].event == UNSUCCESSFUL
+        assert all(math.isfinite(r.f) for r in trace.records)
+
+    def test_overflowing_projection_rebases(self):
+        # with no oracle radius the chord iteration follows u out until
+        # u^4 overflows in a residual, 257 iterations in
+        part = self._line("x - u^4")
+        f = parse_polynomial("-u^3", part.order)
+        cfg = DescentConfig(
+            alpha0=0.25,
+            j_max=400,
+            seed=0,
+            projection=ProjectionConfig(oracle_radius=math.inf),
+        )
+        trace = descend(DescentProblem(part, f, np.zeros(2)), cfg)
+        assert trace.iterations == 400
+        assert trace.records[257].event == REBASE
+        assert all(math.isfinite(r.f) for r in trace.records)
+
+    def test_infinite_objective_fails_the_poll(self, circle):
+        hits = []
+
+        def f(z):
+            if z[0] > 0.5:
+                hits.append(z[0])
+                return -math.inf
+            return -float(z[0])
+
+        cfg = DescentConfig(alpha0=0.25, j_max=1000, seed=0)
+        trace = descend(DescentProblem(circle, f, np.array([0.0, 1.0])), cfg)
+        assert hits
+        assert all(math.isfinite(r.f) for r in trace.records)
+        assert trace.final_objective >= -0.5
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_start_is_rejected(self, circle, value):
+        with pytest.raises(InvalidStartError):
+            descend(
+                DescentProblem(circle, lambda z: value, np.array([0.0, 1.0])),
+                DescentConfig(alpha0=0.25, j_max=10),
+            )
 
 
 class TestCheckConvergence:

@@ -100,6 +100,18 @@ class TestProjection:
         cfg = ProjectionConfig(oracle_radius=1e300, max_iters=10**6)
         assert project_to_manifold(frame, [10.0], cfg) is None
 
+    @pytest.mark.parametrize(
+        "constraint, w",
+        [("x - u^4", 1e100), ("10*x - 7*u", 1e200)],
+        ids=["residual", "distance"],
+    )
+    def test_overflow_fails(self, constraint, w):
+        # u^4 overflows in the first residual; the line's first chord step
+        # is about 1e184 long, and its square overflows
+        frame = tangent_frame(_partition(["u", "x"], [constraint]), [0.0, 0.0])
+        cfg = ProjectionConfig(oracle_radius=math.inf)
+        assert project_to_manifold(frame, [w], cfg) is None
+
     def test_success_respects_radius_and_tol(self, curve3):
         rng = np.random.default_rng(5)
         cfg = ProjectionConfig()
