@@ -5,8 +5,9 @@ base point, accepts one when it beats the sufficient-decrease threshold
 ``C * alpha^2``, doubles the step on success and halves it otherwise.  When
 the projection oracle fails on either poll the walk re-bases: the tangent
 frame moves to the current point, the accumulated tangent vector resets to
-zero, and the step shrinks.  A run that keeps re-basing to the end is
-reported as not converged.
+zero, and the step shrinks.  A run that keeps re-basing to the end, or
+whose polls overflowed after its last accepted point, is reported as not
+converged.
 """
 
 from __future__ import annotations
@@ -124,13 +125,19 @@ def check_convergence(trace: DescentTrace | Iterable[TraceRecord], window: int) 
     return records[-1].alpha < 1e-8
 
 
-def _poll_value(ftilde: PulledBackObjective, p: np.ndarray) -> float | None:
-    # a lift error, an OverflowError or a value that is not finite fails the poll
+def _poll_value(ftilde: PulledBackObjective, p: np.ndarray) -> tuple[float | None, bool]:
+    """The pulled-back value at ``p``, or None when the poll fails.
+
+    The flag is True when the poll failed by an ``OverflowError`` or a value
+    that is not finite, and False when it succeeded or the lift failed.
+    """
     try:
         value = ftilde(p)
-    except (LiftError, OverflowError):
-        return None
-    return value if math.isfinite(value) else None
+    except LiftError:
+        return None, False
+    except OverflowError:
+        return None, True
+    return (value, False) if math.isfinite(value) else (None, True)
 
 
 def descend(
@@ -148,6 +155,20 @@ def descend(
     :class:`InvalidStartError` when the start is off the manifold or its
     objective value is not finite.  Identical problem and config (seed
     included) reproduce the trace bit for bit.
+
+    An iteration whose outcome is already known is replayed without
+    projecting or lifting.  The replay rule starts to hold after a polled
+    iteration whose two steps both equal ``w`` bitwise, whose event is
+    UNSUCCESSFUL and whose poll values are each None or at least the
+    current value; any other polled iteration clears it.  While it holds,
+    an iteration whose steps both equal ``w`` bitwise is replayed: it still
+    draws its direction, halves the step and emits its record.  This is
+    exact for a deterministic objective.  Frame, ``w``, the point and its
+    value are those of the polled iteration, so the projection returns the
+    same points; the lift's warm start is then a root of every stage, so the
+    lift returns the same ambient point or raises the same error; and the
+    threshold ``f - C * alpha^2`` never exceeds ``f``, so the poll fails
+    again and leaves the state as it found it.
     """
     part = problem.partition
     m = part.manifold_dim
@@ -176,39 +197,59 @@ def descend(
     )
 
     rng = np.random.default_rng(cfg.seed)
-    # loop state: current point, its value and lift (``ambient``), tangent
-    # offset from the frame's base point, and the step size
+    # loop state: current point, its value, lift (``ambient``) and record
+    # coordinates, tangent offset from the frame's base point (and its bytes),
+    # the step size, whether the replay rule holds, and whether a poll
+    # overflowed since the last acceptance
     p, f_current, ambient = p0, f0, ftilde.last_ambient
+    coords = tuple(p.tolist())
     w = np.zeros(m)
+    w_bytes = w.tobytes()
     alpha = cfg.alpha0
     frame = tangent_frame(part, p0)
+    stalled = overflowed = False
     records: list[TraceRecord] = []
 
     for j in range(cfg.j_max):
         alpha_j = alpha
         u = random_unit_direction(rng, m)
         steps = (w + alpha_j * u, w - alpha_j * u)
-        points = [project_to_manifold(frame, step, pcfg) for step in steps]
-
         alpha = 0.5 * alpha_j
-        if points[0] is None or points[1] is None:
-            # oracle failure: re-base the tangent frame at the current point
-            frame = tangent_frame(part, p)
-            w = np.zeros(m)
-            event = REBASE
-        else:
-            threshold = f_current - c_forcing * alpha_j * alpha_j
+        absorbed = steps[0].tobytes() == w_bytes and steps[1].tobytes() == w_bytes
+        if stalled and absorbed:
+            # the last real iteration polled these very inputs and failed
             event = UNSUCCESSFUL
-            for point, step in zip(points, steps):
-                f_poll = _poll_value(ftilde, point)
-                if f_poll is not None and f_poll < threshold:
-                    p, w, f_current = point, step, f_poll
-                    ambient = ftilde.last_ambient
-                    alpha = min(cfg.alpha_max, 2.0 * alpha_j)
-                    event = SUCCESS
-                    break
+        else:
+            points = [project_to_manifold(frame, step, pcfg) for step in steps]
+            if points[0] is None or points[1] is None:
+                # oracle failure: re-base the tangent frame at the current point
+                frame = tangent_frame(part, p)
+                w = np.zeros(m)
+                w_bytes = w.tobytes()
+                event = REBASE
+                stalled = False
+            else:
+                threshold = f_current - c_forcing * alpha_j * alpha_j
+                event = UNSUCCESSFUL
+                stalled = absorbed
+                for point, step in zip(points, steps):
+                    f_poll, overflow = _poll_value(ftilde, point)
+                    overflowed = overflowed or overflow
+                    if f_poll is None:
+                        continue
+                    if f_poll < threshold:
+                        p, w, f_current = point, step, f_poll
+                        ambient = ftilde.last_ambient
+                        coords = tuple(p.tolist())
+                        w_bytes = w.tobytes()
+                        alpha = min(cfg.alpha_max, 2.0 * alpha_j)
+                        event = SUCCESS
+                        stalled = overflowed = False
+                        break
+                    if f_poll < f_current:
+                        stalled = False
 
-        rec = TraceRecord(j, alpha_j, f_current, event, tuple(p.tolist()))
+        rec = TraceRecord(j, alpha_j, f_current, event, coords)
         records.append(rec)
         if on_record is not None:
             on_record(rec)
@@ -219,6 +260,6 @@ def descend(
         final_reduced=p,
         final_ambient=ambient,
         final_objective=f_current,
-        converged=check_convergence(records, window),
+        converged=check_convergence(records, window) and not overflowed,
         c_forcing=c_forcing,
     )

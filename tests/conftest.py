@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import random
 from fractions import Fraction
@@ -12,7 +13,7 @@ import pytest
 
 import polydescent
 from polydescent.polynomials import Monomial, Polynomial, VariableOrder, parse_polynomial
-from polydescent.triangular import validate_triangular, whitney_partition
+from polydescent.triangular import WhitneyPartition, validate_triangular, whitney_partition
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -57,6 +58,93 @@ def random_nonconstant_polynomial(rng: random.Random, order: VariableOrder) -> P
         p = random_polynomial(rng, order)
         if p.main_variable() is not None:
             return p
+
+
+def random_partition(rng: random.Random) -> WhitneyPartition:
+    """A random triangular system, eliminated so the retained set is no prefix."""
+    while True:
+        n = rng.randint(3, 6)
+        algebraic = sorted(rng.sample(range(n), rng.randint(2, n)))
+        eliminated = sorted(rng.sample(algebraic, rng.randint(1, len(algebraic) - 1)))
+        retained = [v for v in range(n) if v not in eliminated]
+        if min(eliminated) < max(retained):
+            break
+    order = VariableOrder([f"z{i}" for i in range(n)])
+    polys = []
+    for v in algebraic:
+        # main variable v at degree d; retained members avoid eliminated variables
+        d = rng.randint(1, 3)
+        allowed = {w for w in range(v + 1) if v in eliminated or w not in eliminated}
+        tail = {
+            m: c
+            for m, c in random_polynomial(rng, order).terms.items()
+            if m.variables() <= allowed and m.degree_of(v) < d
+        }
+        lead = Monomial(((v, d),))
+        polys.append(Polynomial(order, {**tail, lead: Fraction(rng.randint(1, 5))}))
+    part = whitney_partition(validate_triangular(polys, order), eliminate=eliminated)
+    assert part.retained == tuple(retained)
+    return part
+
+
+def random_tower(rng: random.Random, n: int, m: int) -> WhitneyPartition:
+    """A tower of n variables, m of them free, partitioned ``"auto"``.
+
+    Every member is ``z^3 + z + h(lower variables)`` with a small rational
+    ``h``, as in the benchmark's towers: ``t^3 + t + c`` is strictly
+    increasing, so every stage has exactly one real root.
+    """
+    order = VariableOrder([f"u{i}" for i in range(m)] + [f"z{k}" for k in range(n - m)])
+    polys = []
+    for v in range(m, n):
+        terms = {
+            Monomial.of({v: 3}): Fraction(1),
+            Monomial.of({v: 1}): Fraction(1),
+            Monomial.of({}): Fraction(rng.choice((-2, -1, 1, 2)), rng.choice((3, 5, 7))),
+        }
+        for _ in range(rng.randint(2, 3)):
+            exps: dict[int, int] = {}
+            for _ in range(rng.randint(1, 2)):
+                w = rng.randrange(max(0, v - 4), v) if rng.random() < 0.6 else rng.randrange(m)
+                exps[w] = exps.get(w, 0) + 1
+            mono = Monomial.of(exps)
+            coeff = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(2, 5))
+            terms[mono] = terms.get(mono, Fraction(0)) + coeff
+        polys.append(Polynomial(order, terms))
+    return whitney_partition(validate_triangular(polys, order), "auto")
+
+
+def manifold_start(part: WhitneyPartition, rng: random.Random) -> np.ndarray | None:
+    """A random point of the reduced manifold of ``part``, or None.
+
+    Free variables are drawn from [-1, 1]; each retained member is then
+    solved for its main variable, in variable order, taking the real root
+    nearest zero, polished by three Newton steps.  None when a member has no
+    real root there or its derivative vanishes at the root.
+    """
+    vals = [0.0] * len(part.order)
+    members = {p.main_variable(): p for p in part.g_star}
+    for v in part.retained:
+        p = members.get(v)
+        if p is None:
+            vals[v] = rng.uniform(-1.0, 1.0)
+            continue
+        coeffs = [0.0] * (p.degree_in(v) + 1)
+        for mono, c in p.terms.items():
+            coeffs[mono.degree_of(v)] += float(c) * math.prod(
+                vals[i] ** e for i, e in mono.exps if i != v
+            )
+        roots = [r.real for r in np.roots(coeffs[::-1]) if abs(r.imag) <= 1e-9]
+        if not roots:
+            return None
+        vals[v] = min(roots, key=abs)
+        dp = p.derivative(v)
+        for _ in range(3):
+            slope = dp.evaluate(vals)
+            if slope == 0.0:
+                return None
+            vals[v] -= p.evaluate(vals) / slope
+    return np.array([vals[v] for v in part.retained])
 
 
 # -- the curve fixture: one quintic lift over a planar oval -----------------

@@ -6,15 +6,14 @@ reduced indices differ from their ambient ones.
 """
 
 import random
-from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_polynomial
+from conftest import random_partition
 import polydescent.triangular as triangular
 from polydescent.geometry import LiftError, lift
-from polydescent.polynomials import Monomial, Polynomial, VariableOrder, parse_polynomial
+from polydescent.polynomials import Polynomial, VariableOrder, parse_polynomial
 from polydescent.triangular import validate_triangular, whitney_partition
 
 
@@ -61,38 +60,11 @@ def _check_compiled(part, amb):
         )
 
 
-def _random_partition(rng: random.Random):
-    """A random triangular system, eliminated so the retained set is no prefix."""
-    while True:
-        n = rng.randint(3, 6)
-        algebraic = sorted(rng.sample(range(n), rng.randint(2, n)))
-        eliminated = sorted(rng.sample(algebraic, rng.randint(1, len(algebraic) - 1)))
-        retained = [v for v in range(n) if v not in eliminated]
-        if min(eliminated) < max(retained):
-            break
-    order = VariableOrder([f"z{i}" for i in range(n)])
-    polys = []
-    for v in algebraic:
-        # main variable v at degree d; retained members avoid eliminated variables
-        d = rng.randint(1, 3)
-        allowed = {w for w in range(v + 1) if v in eliminated or w not in eliminated}
-        tail = {
-            m: c
-            for m, c in random_polynomial(rng, order).terms.items()
-            if m.variables() <= allowed and m.degree_of(v) < d
-        }
-        lead = Monomial(((v, d),))
-        polys.append(Polynomial(order, {**tail, lead: Fraction(rng.randint(1, 5))}))
-    part = whitney_partition(validate_triangular(polys, order), eliminate=eliminated)
-    assert part.retained == tuple(retained)
-    return part
-
-
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_compiled_matches_exact_evaluation(seed):
     rng = random.Random(seed)
-    part = _random_partition(rng)
+    part = random_partition(rng)
     amb = [rng.uniform(-1.5, 1.5) for _ in part.order]
     _check_compiled(part, amb)
     try:

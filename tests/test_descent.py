@@ -196,22 +196,28 @@ class TestProcedureLaws:
 
     def test_rebase_resets_frame_and_tangent(self, curve3, monkeypatch):
         # big alpha0 forces oracle failures; spy on the projection calls
-        calls = []
+        # keyed by iteration: the number of records emitted before the call
+        calls: dict[int, list] = {}
+        emitted = []
         real = descent_mod.project_to_manifold
 
         def spy(frame, w, cfg):
-            calls.append((frame.base.copy(), np.asarray(w, dtype=float).copy()))
+            calls.setdefault(len(emitted), []).append(
+                (frame.base.copy(), np.asarray(w, dtype=float).copy())
+            )
             return real(frame, w, cfg)
 
         monkeypatch.setattr(descent_mod, "project_to_manifold", spy)
         f = parse_polynomial("y", curve3.order)
         cfg = DescentConfig(alpha0=2.0, j_max=40, seed=2)
-        trace = descend(DescentProblem(curve3, f, np.array([0.0, 1.0])), cfg)
+        trace = descend(
+            DescentProblem(curve3, f, np.array([0.0, 1.0])), cfg, emitted.append
+        )
         rebases = [r for r in trace.records if r.event == REBASE]
         assert rebases, "expected at least one oracle failure at alpha0=2"
         for rec in trace.records:
             if rec.event == REBASE and rec.j + 1 < len(trace.records):
-                base_next, w_next = calls[2 * (rec.j + 1)]
+                base_next, w_next = calls[rec.j + 1][0]
                 # next iteration polls from the re-based point with w reset,
                 # so the poll displacement is exactly alpha * u
                 assert np.allclose(base_next, rec.coords, atol=0)
@@ -257,6 +263,17 @@ class TestNumericFailures:
         assert trace.iterations == 1200
         assert trace.records[1052].event == UNSUCCESSFUL
         assert all(math.isfinite(r.f) for r in trace.records)
+
+    def test_overflow_after_the_last_acceptance_is_not_convergence(self):
+        # -u^3 is unbounded below along x = u: the accepted value reaches
+        # -1.797e308, then every poll overflows and the step dies down
+        part = self._line("x - u")
+        f = parse_polynomial("-u^3", part.order)
+        cfg = DescentConfig(alpha0=0.25, j_max=2000, seed=0)
+        trace = descend(DescentProblem(part, f, np.zeros(2)), cfg)
+        assert trace.final_objective < -1e308
+        assert check_convergence(trace, window=500)
+        assert trace.converged is False
 
     def test_overflowing_projection_rebases(self):
         # with no oracle radius the chord iteration follows u out until

@@ -1,0 +1,242 @@
+"""``descend`` replays stalled polls bit for bit.
+
+An iteration whose outcome is already known emits its record without
+projecting or lifting.  These tests hold ``descend`` to a reference loop
+that projects and lifts on every iteration, and count what the replay saves.
+"""
+
+import math
+import random
+from fractions import Fraction
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+import polydescent.descent as descent_mod
+from conftest import manifold_start, random_partition, random_polynomial, random_tower
+from polydescent.descent import (
+    REBASE,
+    SUCCESS,
+    UNSUCCESSFUL,
+    DescentConfig,
+    DescentProblem,
+    DescentTrace,
+    TraceRecord,
+    check_convergence,
+    descend,
+    random_unit_direction,
+)
+from polydescent.geometry import (
+    LiftError,
+    NotRegularError,
+    PulledBackObjective,
+    lift,
+    project_to_manifold,
+    residuals,
+    tangent_frame,
+)
+from polydescent.polynomials import Monomial, Polynomial, VariableOrder, parse_polynomial
+from polydescent.triangular import validate_triangular, whitney_partition
+
+
+def reference_descend(problem: DescentProblem, cfg: DescentConfig) -> DescentTrace:
+    """The polling loop without the replay: every iteration projects and lifts.
+
+    Starts are assumed valid.  A run whose polls overflowed or went
+    non-finite after its last acceptance does not count as converged.
+    """
+    part, pcfg = problem.partition, cfg.projection
+    m = part.manifold_dim
+    p = np.asarray(problem.start, dtype=float).copy()
+    ftilde = PulledBackObjective(problem.objective, part)
+    f_current = ftilde(p)
+    ambient = ftilde.last_ambient
+    c_forcing = cfg.c_forcing if cfg.c_forcing is not None else 1e-4 * (1.0 + abs(f_current))
+    rng = np.random.default_rng(cfg.seed)
+    w = np.zeros(m)
+    alpha = cfg.alpha0
+    frame = tangent_frame(part, p)
+    overflowed = False
+    records = []
+    for j in range(cfg.j_max):
+        alpha_j = alpha
+        u = random_unit_direction(rng, m)
+        steps = (w + alpha_j * u, w - alpha_j * u)
+        points = [project_to_manifold(frame, step, pcfg) for step in steps]
+        alpha = 0.5 * alpha_j
+        if points[0] is None or points[1] is None:
+            frame = tangent_frame(part, p)
+            w = np.zeros(m)
+            event = REBASE
+        else:
+            threshold = f_current - c_forcing * alpha_j * alpha_j
+            event = UNSUCCESSFUL
+            for point, step in zip(points, steps):
+                try:
+                    f_poll = ftilde(point)
+                except LiftError:
+                    continue
+                except OverflowError:
+                    overflowed = True
+                    continue
+                if not math.isfinite(f_poll):
+                    overflowed = True
+                elif f_poll < threshold:
+                    p, w, f_current = point, step, f_poll
+                    ambient = ftilde.last_ambient
+                    alpha = min(cfg.alpha_max, 2.0 * alpha_j)
+                    event = SUCCESS
+                    overflowed = False
+                    break
+        records.append(TraceRecord(j, alpha_j, f_current, event, tuple(p.tolist())))
+    window = min(500, cfg.j_max) if cfg.j_max > 0 else 1
+    return DescentTrace(
+        records=records,
+        final_reduced=p,
+        final_ambient=ambient,
+        final_objective=f_current,
+        converged=check_convergence(records, window) and not overflowed,
+        c_forcing=c_forcing,
+    )
+
+
+def _outcome(run, problem, cfg):
+    try:
+        return run(problem, cfg)
+    except Exception as exc:  # compared below: both loops must fail alike
+        return type(exc), str(exc)
+
+
+def assert_same_run(problem: DescentProblem, cfg: DescentConfig) -> DescentTrace:
+    got = _outcome(descend, problem, cfg)
+    want = _outcome(reference_descend, problem, cfg)
+    if not isinstance(want, DescentTrace) or not isinstance(got, DescentTrace):
+        assert got == want
+        return got
+    assert got.records == want.records
+    assert np.array_equal(got.final_reduced, want.final_reduced)
+    assert np.array_equal(got.final_ambient, want.final_ambient)
+    assert got.final_objective == want.final_objective
+    assert got.converged == want.converged
+    return got
+
+
+def random_problem(rng: random.Random, tower: bool) -> DescentProblem:
+    """A random system with a regular start whose lift succeeds.
+
+    Towers take the benchmark's objective, the sum of squares of every
+    ambient variable; other systems take a random polynomial.
+    """
+    while True:
+        if tower:
+            m = rng.randint(1, 3)
+            part = random_tower(rng, rng.randint(m + 3, m + 6), m)
+            objective = Polynomial(
+                part.order, {Monomial.of({v: 2}): Fraction(1) for v in range(len(part.order))}
+            )
+        else:
+            part = random_partition(rng)
+            if part.manifold_dim < 1:
+                continue
+            objective = random_polynomial(rng, part.order)
+        start = manifold_start(part, rng)
+        if start is None or float(np.max(np.abs(residuals(part, start)))) > 1e-10:
+            continue
+        try:
+            lift(part, start)
+            tangent_frame(part, start)
+        except (LiftError, NotRegularError):
+            continue
+        return DescentProblem(part, objective, start)
+
+
+def count_projections(monkeypatch) -> list:
+    """Spy on the projections ``descend`` makes; returns the steps it projects.
+
+    The reference loop calls the projection by its own name, so it is not
+    counted.
+    """
+    calls = []
+
+    def spy(frame, w, cfg):
+        calls.append(np.asarray(w, dtype=float).copy())
+        return project_to_manifold(frame, w, cfg)
+
+    monkeypatch.setattr(descent_mod, "project_to_manifold", spy)
+    return calls
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.booleans(),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.floats(min_value=0.01, max_value=2.0),
+)
+def test_replay_matches_the_reference_loop(system_seed, tower, seed, alpha0):
+    problem = random_problem(random.Random(system_seed), tower)
+    assert_same_run(problem, DescentConfig(alpha0=alpha0, j_max=250, seed=seed))
+
+
+def test_stall_right_after_a_rebase(circle, monkeypatch):
+    # the last success is at j = 5 and the re-base at j = 6 resets w to 0, so
+    # a step is absorbed only once alpha * u is exactly zero, at j = 1081;
+    # every later iteration is replayed
+    f = parse_polynomial("-u", circle.order)
+    problem = DescentProblem(circle, f, np.array([0.0, 1.0]))
+    cfg = DescentConfig(alpha0=1.0, j_max=1200, seed=0)
+    calls = count_projections(monkeypatch)
+    trace = assert_same_run(problem, cfg)
+    events = [r.event for r in trace.records]
+    last_success = max(j for j, e in enumerate(events) if e == SUCCESS)
+    last_rebase = max(j for j, e in enumerate(events) if e == REBASE)
+    assert last_success < last_rebase
+    j0 = next(r.j for r in trace.records if r.alpha == 0.0)
+    assert last_rebase < j0 < cfg.j_max - 1
+    assert len(calls) == 2 * (j0 + 1)
+    assert calls[-1].tobytes() == np.zeros(1).tobytes()
+    assert trace.converged
+
+
+def test_a_lower_value_on_another_sheet_keeps_the_loop_polling():
+    # after the first success at x ~ 0.7 the next poll crosses the fold of
+    # z^3 - 3z - x at x = 2, so the warm start moves to the upper sheet.  Back
+    # at the accepted point that sheet's value is 1e-40 below the current
+    # one, above the threshold until C * alpha^2 < 1e-40: these absorbed
+    # polls must not start a stall, and the point is accepted again at j = 63
+    order = VariableOrder(["u", "x", "z"])
+    system = validate_triangular(
+        [parse_polynomial("x - u", order), parse_polynomial("z^3 - 3*z - x", order)], order
+    )
+    part = whitney_partition(system, eliminate=[order.index("z")])
+
+    def f(vals):
+        u, x, z = vals
+        if z > 1.5:
+            return -1e-40
+        return 1.0 if x < 0.5 else 0.0
+
+    problem = DescentProblem(part, f, np.zeros(2))
+    trace = assert_same_run(problem, DescentConfig(alpha0=1.0, j_max=120, seed=0))
+    accepted = [r for r in trace.records if r.event == SUCCESS]
+    assert [r.j for r in accepted] == [0, 63]
+    assert accepted[1].coords == accepted[0].coords
+    assert trace.final_objective == -1e-40
+
+
+def test_readme_curve_skips_nearly_every_projection(monkeypatch):
+    order = VariableOrder(["u", "x", "y"])
+    system = validate_triangular(
+        [parse_polynomial("u^4 + x^2 - 1", order), parse_polynomial("u^2 + x^3 + y^5", order)],
+        order,
+    )
+    part = whitney_partition(system, eliminate=[order.index("y")])
+    problem = DescentProblem(part, parse_polynomial("y", order), np.array([0.0, 1.0]))
+    calls = count_projections(monkeypatch)
+    for seed in (0, 3, 7):
+        calls.clear()
+        cfg = DescentConfig(alpha0=0.25, j_max=5000, seed=seed)
+        trace = descend(problem, cfg)
+        assert len(calls) < 400  # 10,000 without the replay
+        assert trace.converged
+        assert trace.records == reference_descend(problem, cfg).records
