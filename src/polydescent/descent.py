@@ -125,21 +125,8 @@ def check_convergence(trace: DescentTrace | Iterable[TraceRecord], window: int) 
     return records[-1].alpha < 1e-8
 
 
-def _poll_value(ftilde: PulledBackObjective, p: np.ndarray) -> tuple[float | None, bool]:
-    """The pulled-back value at ``p``, or None when the poll fails.
-
-    The flag is True when the poll failed by an ``OverflowError`` or a value
-    that is not finite, and False when it succeeded or the lift failed.
-    """
-    try:
-        value = ftilde(p)
-    except LiftError:
-        return None, False
-    except OverflowError:
-        return None, True
-    return (value, False) if math.isfinite(value) else (None, True)
-
-
+# beyond the float range numpy stays quiet: the step or the poll fails instead
+@np.errstate(over="ignore", invalid="ignore")
 def descend(
     problem: DescentProblem,
     cfg: DescentConfig,
@@ -151,24 +138,18 @@ def descend(
     points satisfy the retained constraints to the projection tolerance.
     A lift failure, an overflow or a value that is not finite while
     evaluating the objective merely fails that poll direction; a projection
-    failure on either direction triggers a re-base.  Raises
-    :class:`InvalidStartError` when the start is off the manifold or its
-    objective value is not finite.  Identical problem and config (seed
-    included) reproduce the trace bit for bit.
+    failure on either direction, a step that is not finite included,
+    triggers a re-base.  Raises :class:`InvalidStartError` when the start is
+    off the manifold or its objective value is not finite.  Identical
+    problem and config (seed included) reproduce the trace bit for bit.
 
-    An iteration whose outcome is already known is replayed without
-    projecting or lifting.  The replay rule starts to hold after a polled
-    iteration whose two steps both equal ``w`` bitwise, whose event is
-    UNSUCCESSFUL and whose poll values are each None or at least the
-    current value; any other polled iteration clears it.  While it holds,
-    an iteration whose steps both equal ``w`` bitwise is replayed: it still
-    draws its direction, halves the step and emits its record.  This is
-    exact for a deterministic objective.  Frame, ``w``, the point and its
-    value are those of the polled iteration, so the projection returns the
-    same points; the lift's warm start is then a root of every stage, so the
-    lift returns the same ambient point or raises the same error; and the
-    threshold ``f - C * alpha^2`` never exceeds ``f``, so the poll fails
-    again and leaves the state as it found it.
+    Polls are lifted from the accepted lift (the start's, then each
+    success's), which ends as ``final_ambient``; a failed poll never moves
+    the descent to another sheet.  An iteration whose two steps both equal
+    ``w`` bitwise is UNSUCCESSFUL without projecting or lifting.  That is
+    exact: the projection is deterministic in the frame and ``w``, so both
+    polls are ``p``, and ``p`` lifted from its own lift gives ``f_current``
+    or a lift error, never a value below ``f_current - C * alpha^2``.
     """
     part = problem.partition
     m = part.manifold_dim
@@ -189,7 +170,7 @@ def descend(
         )
 
     ftilde = PulledBackObjective(problem.objective, part)
-    f0 = ftilde(p0)
+    f0, ambient = ftilde(p0)
     if not math.isfinite(f0):
         raise InvalidStartError(f"objective at the start is {f0}")
     c_forcing = (
@@ -197,17 +178,18 @@ def descend(
     )
 
     rng = np.random.default_rng(cfg.seed)
-    # loop state: current point, its value, lift (``ambient``) and record
-    # coordinates, tangent offset from the frame's base point (and its bytes),
-    # the step size, whether the replay rule holds, and whether a poll
-    # overflowed since the last acceptance
-    p, f_current, ambient = p0, f0, ftilde.last_ambient
+    eliminated = list(part.eliminated)
+    # loop state: current point, its value, its accepted lift (``ambient``,
+    # whose eliminated values are the warm start) and record coordinates,
+    # tangent offset from the frame's base point (and its bytes), the step
+    # size, and whether a poll overflowed since the last acceptance
+    p, f_current, warm = p0, f0, ambient[eliminated].tolist()
     coords = tuple(p.tolist())
     w = np.zeros(m)
     w_bytes = w.tobytes()
     alpha = cfg.alpha0
     frame = tangent_frame(part, p0)
-    stalled = overflowed = False
+    overflowed = False
     records: list[TraceRecord] = []
 
     for j in range(cfg.j_max):
@@ -215,10 +197,8 @@ def descend(
         u = random_unit_direction(rng, m)
         steps = (w + alpha_j * u, w - alpha_j * u)
         alpha = 0.5 * alpha_j
-        absorbed = steps[0].tobytes() == w_bytes and steps[1].tobytes() == w_bytes
-        if stalled and absorbed:
-            # the last real iteration polled these very inputs and failed
-            event = UNSUCCESSFUL
+        if steps[0].tobytes() == w_bytes and steps[1].tobytes() == w_bytes:
+            event = UNSUCCESSFUL  # both polls are p itself
         else:
             points = [project_to_manifold(frame, step, pcfg) for step in steps]
             if points[0] is None or points[1] is None:
@@ -227,27 +207,28 @@ def descend(
                 w = np.zeros(m)
                 w_bytes = w.tobytes()
                 event = REBASE
-                stalled = False
             else:
                 threshold = f_current - c_forcing * alpha_j * alpha_j
                 event = UNSUCCESSFUL
-                stalled = absorbed
                 for point, step in zip(points, steps):
-                    f_poll, overflow = _poll_value(ftilde, point)
-                    overflowed = overflowed or overflow
-                    if f_poll is None:
+                    try:
+                        f_poll, lifted = ftilde(point, warm)
+                    except LiftError:
                         continue
-                    if f_poll < threshold:
-                        p, w, f_current = point, step, f_poll
-                        ambient = ftilde.last_ambient
+                    except OverflowError:
+                        overflowed = True
+                        continue
+                    if not math.isfinite(f_poll):
+                        overflowed = True
+                    elif f_poll < threshold:
+                        p, w, f_current, ambient = point, step, f_poll, lifted
+                        warm = ambient[eliminated].tolist()
                         coords = tuple(p.tolist())
                         w_bytes = w.tobytes()
                         alpha = min(cfg.alpha_max, 2.0 * alpha_j)
                         event = SUCCESS
-                        stalled = overflowed = False
+                        overflowed = False
                         break
-                    if f_poll < f_current:
-                        stalled = False
 
         rec = TraceRecord(j, alpha_j, f_current, event, coords)
         records.append(rec)

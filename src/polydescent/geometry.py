@@ -158,15 +158,19 @@ def project_to_manifold(
 
     Starting from ``q0 = base + U w``, iterates ``q <- q - N g*(q)`` with the
     pseudoinverse frozen at the base point.  Returns the on-manifold point,
-    or None when the iteration leaves the ``oracle_radius`` ball around
-    ``q0``, its residual exceeds 1e6 times its first value, a residual or
-    that distance overflows, or it fails to meet ``residual_tol`` within
-    ``max_iters`` updates.  None is the oracle saying the implicit function
-    theorem stopped holding out here, and the caller re-bases.
+    or None when ``w``, ``q0`` or a residual is not finite or overflows, the
+    iteration leaves the ``oracle_radius`` ball around ``q0``, its residual
+    exceeds 1e6 times its first value, or it fails to meet ``residual_tol``
+    within ``max_iters`` updates.  None is the oracle saying the implicit
+    function theorem stopped holding out here, and the caller re-bases.
     """
     compiled_residuals = frame.partition.compiled.residuals
     w = np.asarray(w, dtype=float)
+    if not all(map(math.isfinite, w.tolist())):
+        return None  # before numpy warns of it in the product
     q0 = (frame.base + frame.U @ w).tolist()
+    if not all(map(math.isfinite, q0)):
+        return None
     q = list(q0)
     n_rows = frame.N.tolist()
     radius_sq = cfg.oracle_radius * cfg.oracle_radius
@@ -174,6 +178,8 @@ def project_to_manifold(
     try:
         for n in range(cfg.max_iters + 1):
             g = compiled_residuals(q)
+            if not all(map(math.isfinite, g)):
+                return None
             r = max(map(abs, g))
             if r <= cfg.residual_tol:
                 return np.array(q)
@@ -338,16 +344,16 @@ def lift(part: WhitneyPartition, p, warm=None) -> np.ndarray:
 class PulledBackObjective:
     """An ambient objective composed with the lift.
 
-    Calling it at reduced coordinates lifts, evaluates and caches the lifted
-    eliminated values as the warm start for the next call, so successive
-    evaluations along a descent path track the same sheet.  Not safe to
-    share across concurrent descent runs; give each its own instance.
+    ``ftilde(p, warm)`` lifts reduced coordinates ``p`` as ``lift`` does,
+    each stage taking the root nearest ``warm``, and returns ``(value,
+    ambient)``.  It keeps no state: a caller stays on one sheet by passing
+    the eliminated values of the lift it accepted.  Raises
+    :class:`LiftError` when the lift fails and ``OverflowError`` when a
+    power leaves the float range.
     """
 
     def __init__(self, objective, part: WhitneyPartition):
         self.partition = part
-        self.last_ambient: np.ndarray | None = None
-        self._warm: list[float] | None = None
         if isinstance(objective, Polynomial):
             if objective.order != part.order:
                 raise ValueError("objective uses a different variable order")
@@ -356,8 +362,6 @@ class PulledBackObjective:
         else:
             self._fn = lambda vals: float(objective(np.array(vals)))
 
-    def __call__(self, p) -> float:
-        vals = _lift_values(self.partition, p, self._warm)
-        self._warm = [vals[v] for v in self.partition.eliminated]
-        self.last_ambient = np.array(vals)
-        return self._fn(vals)
+    def __call__(self, p, warm=None) -> tuple[float, np.ndarray]:
+        vals = _lift_values(self.partition, p, warm)
+        return self._fn(vals), np.array(vals)

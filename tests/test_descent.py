@@ -141,7 +141,7 @@ class TestProcedureLaws:
         cfg = DescentConfig(alpha0=0.25, alpha_max=0.4, j_max=400, seed=1)
         trace = descend(DescentProblem(curve3, f, start), cfg)
         ftilde = PulledBackObjective(f, curve3)
-        f_prev = ftilde(start)
+        f_prev, _ = ftilde(start)
         alpha_prev = None
         for rec in trace.records:
             if alpha_prev is not None:
@@ -289,6 +289,21 @@ class TestNumericFailures:
         trace = descend(DescentProblem(part, f, np.zeros(2)), cfg)
         assert trace.iterations == 400
         assert trace.records[257].event == REBASE
+        assert all(math.isfinite(r.f) for r in trace.records)
+
+    def test_non_finite_step_rebases(self):
+        # -u is unbounded below along x = 0, so the step doubles on every
+        # success until w - alpha * u leaves the float range at j = 1023;
+        # that poll's projection fails and the iteration re-bases
+        order = VariableOrder(["u", "x"])
+        sys = validate_triangular([parse_polynomial("x", order)], order)
+        part = whitney_partition(sys, eliminate=[])
+        f = parse_polynomial("-u", order)
+        cfg = DescentConfig(alpha0=1.0, c_forcing=5e-324, j_max=3000, seed=0)
+        trace = descend(DescentProblem(part, f, np.zeros(2)), cfg)
+        assert trace.iterations == 3000
+        assert {r.event for r in trace.records[:1023]} == {SUCCESS}
+        assert trace.records[1023].event == REBASE
         assert all(math.isfinite(r.f) for r in trace.records)
 
     def test_infinite_objective_fails_the_poll(self, circle):

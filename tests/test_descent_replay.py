@@ -1,8 +1,8 @@
-"""``descend`` replays stalled polls bit for bit.
+"""``descend`` skips absorbed polls bit for bit.
 
-An iteration whose outcome is already known emits its record without
-projecting or lifting.  These tests hold ``descend`` to a reference loop
-that projects and lifts on every iteration, and count what the replay saves.
+An iteration whose two steps both equal the tangent offset emits its record
+without projecting or lifting.  These tests hold ``descend`` to a reference
+loop that projects and lifts on every iteration, and count what that saves.
 """
 
 import math
@@ -42,6 +42,7 @@ from polydescent.triangular import validate_triangular, whitney_partition
 def reference_descend(problem: DescentProblem, cfg: DescentConfig) -> DescentTrace:
     """The polling loop without the replay: every iteration projects and lifts.
 
+    Each poll is lifted from the eliminated values of the accepted lift.
     Starts are assumed valid.  A run whose polls overflowed or went
     non-finite after its last acceptance does not count as converged.
     """
@@ -49,8 +50,8 @@ def reference_descend(problem: DescentProblem, cfg: DescentConfig) -> DescentTra
     m = part.manifold_dim
     p = np.asarray(problem.start, dtype=float).copy()
     ftilde = PulledBackObjective(problem.objective, part)
-    f_current = ftilde(p)
-    ambient = ftilde.last_ambient
+    f_current, ambient = ftilde(p)
+    eliminated = list(part.eliminated)
     c_forcing = cfg.c_forcing if cfg.c_forcing is not None else 1e-4 * (1.0 + abs(f_current))
     rng = np.random.default_rng(cfg.seed)
     w = np.zeros(m)
@@ -73,7 +74,7 @@ def reference_descend(problem: DescentProblem, cfg: DescentConfig) -> DescentTra
             event = UNSUCCESSFUL
             for point, step in zip(points, steps):
                 try:
-                    f_poll = ftilde(point)
+                    f_poll, lifted = ftilde(point, ambient[eliminated].tolist())
                 except LiftError:
                     continue
                 except OverflowError:
@@ -83,7 +84,7 @@ def reference_descend(problem: DescentProblem, cfg: DescentConfig) -> DescentTra
                     overflowed = True
                 elif f_poll < threshold:
                     p, w, f_current = point, step, f_poll
-                    ambient = ftilde.last_ambient
+                    ambient = lifted
                     alpha = min(cfg.alpha_max, 2.0 * alpha_j)
                     event = SUCCESS
                     overflowed = False
@@ -175,13 +176,37 @@ def count_projections(monkeypatch) -> list:
 )
 def test_replay_matches_the_reference_loop(system_seed, tower, seed, alpha0):
     problem = random_problem(random.Random(system_seed), tower)
-    assert_same_run(problem, DescentConfig(alpha0=alpha0, j_max=250, seed=seed))
+    cfg = DescentConfig(alpha0=alpha0, j_max=250, seed=seed)
+    trace = assert_same_run(problem, cfg)
+    if isinstance(trace, DescentTrace):
+        assert_trace_laws(problem, cfg, trace)
+
+
+def assert_trace_laws(problem: DescentProblem, cfg: DescentConfig, trace: DescentTrace):
+    """Sufficient decrease, the step law, and a final lift that is a fixed point."""
+    part = problem.partition
+    f_prev, _ = PulledBackObjective(problem.objective, part)(problem.start)
+    coords = tuple(problem.start.tolist())
+    alpha = cfg.alpha0
+    for rec in trace.records:
+        assert rec.alpha == alpha
+        if rec.event == SUCCESS:
+            assert rec.f < f_prev - trace.c_forcing * rec.alpha * rec.alpha
+            f_prev, coords = rec.f, rec.coords
+            alpha = min(cfg.alpha_max, 2.0 * rec.alpha)
+        else:
+            assert (rec.f, rec.coords) == (f_prev, coords)
+            alpha = 0.5 * rec.alpha
+    amb = trace.final_ambient
+    assert problem.objective.evaluate(amb) == trace.final_objective
+    relifted = lift(part, trace.final_reduced, warm=amb[list(part.eliminated)])
+    assert relifted.tobytes() == amb.tobytes()
 
 
 def test_stall_right_after_a_rebase(circle, monkeypatch):
     # the last success is at j = 5 and the re-base at j = 6 resets w to 0, so
     # a step is absorbed only once alpha * u is exactly zero, at j = 1081;
-    # every later iteration is replayed
+    # from there on no iteration projects, and none projects the zero step
     f = parse_polynomial("-u", circle.order)
     problem = DescentProblem(circle, f, np.array([0.0, 1.0]))
     cfg = DescentConfig(alpha0=1.0, j_max=1200, seed=0)
@@ -193,35 +218,38 @@ def test_stall_right_after_a_rebase(circle, monkeypatch):
     assert last_success < last_rebase
     j0 = next(r.j for r in trace.records if r.alpha == 0.0)
     assert last_rebase < j0 < cfg.j_max - 1
-    assert len(calls) == 2 * (j0 + 1)
-    assert calls[-1].tobytes() == np.zeros(1).tobytes()
+    assert len(calls) == 2 * j0
+    zero = np.zeros(1).tobytes()
+    assert all(c.tobytes() != zero for c in calls[2 * (last_rebase + 1) :])
     assert trace.converged
 
 
-def test_a_lower_value_on_another_sheet_keeps_the_loop_polling():
-    # after the first success at x ~ 0.7 the next poll crosses the fold of
-    # z^3 - 3z - x at x = 2, so the warm start moves to the upper sheet.  Back
-    # at the accepted point that sheet's value is 1e-40 below the current
-    # one, above the threshold until C * alpha^2 < 1e-40: these absorbed
-    # polls must not start a stall, and the point is accepted again at j = 63
+def test_a_failed_poll_past_a_fold_keeps_the_accepted_sheet():
+    # the start lifts to the middle sheet of z^3 - 3z - x.  After the first
+    # success at x ~ 0.7 the next poll crosses the fold at x = 2 and lifts to
+    # the upper sheet, whose value is 1e-40 lower; that poll fails, and later
+    # polls lift from the accepted lift again, so the upper sheet's value is
+    # never compared at the accepted point and the run ends on the middle sheet
     order = VariableOrder(["u", "x", "z"])
     system = validate_triangular(
         [parse_polynomial("x - u", order), parse_polynomial("z^3 - 3*z - x", order)], order
     )
     part = whitney_partition(system, eliminate=[order.index("z")])
+    upper = []
 
     def f(vals):
         u, x, z = vals
         if z > 1.5:
+            upper.append(x)
             return -1e-40
         return 1.0 if x < 0.5 else 0.0
 
     problem = DescentProblem(part, f, np.zeros(2))
     trace = assert_same_run(problem, DescentConfig(alpha0=1.0, j_max=120, seed=0))
-    accepted = [r for r in trace.records if r.event == SUCCESS]
-    assert [r.j for r in accepted] == [0, 63]
-    assert accepted[1].coords == accepted[0].coords
-    assert trace.final_objective == -1e-40
+    assert upper and min(upper) > 2.0
+    assert [r.j for r in trace.records if r.event == SUCCESS] == [0]
+    assert trace.final_objective == 0.0
+    assert abs(trace.final_ambient[2] + 0.2403) < 1e-4
 
 
 def test_readme_curve_skips_nearly_every_projection(monkeypatch):

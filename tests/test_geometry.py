@@ -112,6 +112,22 @@ class TestProjection:
         cfg = ProjectionConfig(oracle_radius=math.inf)
         assert project_to_manifold(frame, [w], cfg) is None
 
+    @pytest.mark.parametrize(
+        "constraint, w, evaluations",
+        [("x", math.inf, 0), ("x", math.nan, 0), ("x - 1" + "0" * 300 + "*u^2", 1e5, 1)],
+        ids=["inf-step", "nan-step", "inf-residual"],
+    )
+    def test_non_finite_fails_at_once(self, monkeypatch, constraint, w, evaluations):
+        # NaN trips no comparison in the chord loop, so without the checks
+        # these would run all 51 residual evaluations before giving up
+        part = _partition(["u", "x"], [constraint])
+        frame = tangent_frame(part, [0.0, 0.0])
+        calls = []
+        real = part.compiled.residuals
+        monkeypatch.setattr(part.compiled, "residuals", lambda q: calls.append(q) or real(q))
+        assert project_to_manifold(frame, [w]) is None
+        assert len(calls) == evaluations
+
     def test_success_respects_radius_and_tol(self, curve3):
         rng = np.random.default_rng(5)
         cfg = ProjectionConfig()
@@ -229,29 +245,44 @@ class TestPullback:
     def test_height_objective(self, curve3):
         f = parse_polynomial("y", curve3.order)
         ftilde = PulledBackObjective(f, curve3)
-        assert ftilde(np.array([1.0, 0.0])) == pytest.approx(-1.0, abs=1e-12)
+        value, ambient = ftilde(np.array([1.0, 0.0]))
+        assert value == pytest.approx(-1.0, abs=1e-12)
+        assert ambient.tolist() == [1.0, 0.0, value]
 
     def test_retained_only_objective_is_identity(self, curve3):
         f = parse_polynomial("x^2 + u^2", curve3.order)
         ftilde = PulledBackObjective(f, curve3)
         p = curve3_point(0.4)
-        assert ftilde(p) == pytest.approx(p[0] ** 2 + p[1] ** 2, abs=1e-12)
+        value, _ = ftilde(p)
+        assert value == pytest.approx(p[0] ** 2 + p[1] ** 2, abs=1e-12)
 
     def test_sum_objective_on_quartic(self, quartic4):
         f = parse_polynomial("u + x + y1 + y2", quartic4.order)
         ftilde = PulledBackObjective(f, quartic4)
-        assert ftilde(np.array([1.0, 1.0])) == pytest.approx(0.0, abs=1e-12)
+        value, _ = ftilde(np.array([1.0, 1.0]))
+        assert value == pytest.approx(0.0, abs=1e-12)
 
-    def test_warm_start_tracks_path(self, curve3):
-        f = parse_polynomial("y", curve3.order)
-        ftilde = PulledBackObjective(f, curve3)
-        assert ftilde.last_ambient is None
-        ftilde(curve3_point(0.2))
-        a1 = ftilde.last_ambient
-        assert a1 is not None and len(a1) == 3
-        ftilde(curve3_point(0.25))
-        assert ftilde.last_ambient[2] != a1[2]
+    def test_warm_start_chooses_the_sheet(self):
+        # z^3 - 3z - x has three real roots at x = 0.8; a warm start near
+        # each returns that root, whatever was called before
+        part = _partition(
+            ["u", "x", "z"], ["x - u", "z^3 - 3*z - x"], eliminate_names=["z"]
+        )
+        ftilde = PulledBackObjective(parse_polynomial("z", part.order), part)
+        p = np.array([0.8, 0.8])
+        roots = sorted(float(r.real) for r in np.roots([1.0, 0.0, -3.0, -0.8]))
+        assert len(roots) == 3
+        warms = [[r + 0.05] for r in roots] + [None]
+        first = [ftilde(p, warm) for warm in warms]
+        for (value, ambient), root in zip(first, roots):
+            assert value == pytest.approx(root, abs=1e-12)
+            assert ambient[2] == value
+        assert first[3][0] == first[1][0]  # no warm start: nearest zero
+        again = [ftilde(p, warm) for warm in reversed(warms)][::-1]
+        for (v1, a1), (v2, a2) in zip(first, again):
+            assert v1 == v2 and a1.tobytes() == a2.tobytes()
 
     def test_callable_objective(self, curve3):
         ftilde = PulledBackObjective(lambda z: float(z[2] ** 2), curve3)
-        assert ftilde(np.array([1.0, 0.0])) == pytest.approx(1.0, abs=1e-12)
+        value, _ = ftilde(np.array([1.0, 0.0]))
+        assert value == pytest.approx(1.0, abs=1e-12)

@@ -3,6 +3,8 @@
 Private names stay in the module that defines them, and a partition's state
 is owned by ``triangular.py``: other modules read ``WhitneyPartition``
 (including its ``compiled`` form) but never attach attributes to it.
+``PulledBackObjective.__call__`` keeps no state: it sets no attribute of
+``self``, so a call depends on its arguments alone.
 """
 
 import ast
@@ -26,6 +28,25 @@ def private_imports(tree: ast.AST) -> list[str]:
     return out
 
 
+def attribute_writes(tree: ast.AST, is_target) -> list[str]:
+    """Attribute stores, deletes and ``setattr`` calls on nodes ``is_target`` accepts."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            hit = is_target(node.value)
+        elif isinstance(node, ast.Call):
+            hit = (
+                ast.unparse(node.func) in ("setattr", "object.__setattr__")
+                and bool(node.args)
+                and is_target(node.args[0])
+            )
+        else:
+            continue
+        if hit:
+            out.append(f"line {node.lineno}: {ast.unparse(node)}")
+    return out
+
+
 def partition_writes(tree: ast.AST) -> list[str]:
     """Attribute writes on a value annotated ``WhitneyPartition`` or named ``*.partition``."""
     names = set()
@@ -44,20 +65,20 @@ def partition_writes(tree: ast.AST) -> list[str]:
             return node.id in names
         return isinstance(node, ast.Attribute) and node.attr == "partition"
 
+    return attribute_writes(tree, is_partition)
+
+
+def self_writes(tree: ast.AST, cls: str, method: str) -> list[str]:
+    """Attribute writes on the instance (the first argument) inside ``cls.method``."""
     out = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del)):
-            hit = is_partition(node.value)
-        elif isinstance(node, ast.Call):
-            hit = (
-                ast.unparse(node.func) in ("setattr", "object.__setattr__")
-                and bool(node.args)
-                and is_partition(node.args[0])
-            )
-        else:
-            continue
-        if hit:
-            out.append(f"line {node.lineno}: {ast.unparse(node)}")
+        if isinstance(node, ast.ClassDef) and node.name == cls:
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name == method:
+                    me = fn.args.args[0].arg
+                    out += attribute_writes(
+                        fn, lambda n: isinstance(n, ast.Name) and n.id == me
+                    )
     return out
 
 
@@ -86,3 +107,34 @@ def attach(part: WhitneyPartition, frame):
     tree = ast.parse(bad)
     assert len(private_imports(tree)) == 2
     assert len(partition_writes(tree)) == 3
+
+
+def test_pullback_call_keeps_no_state():
+    path = Path(polydescent.__file__).parent / "geometry.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    methods = [
+        fn.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name == "PulledBackObjective"
+        for fn in node.body
+        if isinstance(fn, ast.FunctionDef)
+    ]
+    assert "__call__" in methods
+    assert self_writes(tree, "PulledBackObjective", "__call__") == []
+
+
+def test_state_check_catches_writes():
+    bad = """
+class PulledBackObjective:
+    def __init__(self):
+        self.ok = 1
+
+    def __call__(obj, p, warm=None):
+        obj.last = p
+        obj.count += 1
+        del obj.warm
+        setattr(obj, "x", 2)
+        other.y = 3
+        return p
+"""
+    assert len(self_writes(ast.parse(bad), "PulledBackObjective", "__call__")) == 4
