@@ -6,8 +6,8 @@ base point, accepts one when it beats the sufficient-decrease threshold
 the projection oracle fails on either poll the walk re-bases: the tangent
 frame moves to the current point, the accumulated tangent vector resets to
 zero, and the step shrinks.  A run that keeps re-basing to the end, or
-whose polls overflowed after its last accepted point, is reported as not
-converged.
+whose polls overflowed or started beyond the float range after its last
+accepted point, is reported as not converged.
 """
 
 from __future__ import annotations
@@ -148,8 +148,9 @@ def descend(
     the descent to another sheet.  An iteration whose two steps both equal
     ``w`` bitwise is UNSUCCESSFUL without projecting or lifting.  That is
     exact: the projection is deterministic in the frame and ``w``, so both
-    polls are ``p``, and ``p`` lifted from its own lift gives ``f_current``
-    or a lift error, never a value below ``f_current - C * alpha^2``.
+    polls are ``p``, and ``p`` lifted from its accepted lift ``ambient``
+    gives ``f_current`` or a lift error, never a value below
+    ``f_current - C * alpha^2``.
     """
     part = problem.partition
     m = part.manifold_dim
@@ -178,12 +179,10 @@ def descend(
     )
 
     rng = np.random.default_rng(cfg.seed)
-    eliminated = list(part.eliminated)
-    # loop state: current point, its value, its accepted lift (``ambient``,
-    # whose eliminated values are the warm start) and record coordinates,
-    # tangent offset from the frame's base point (and its bytes), the step
-    # size, and whether a poll overflowed since the last acceptance
-    p, f_current, warm = p0, f0, ambient[eliminated].tolist()
+    # loop state: the accepted point, its value, lift (the warm start) and
+    # coordinates; the offset from the frame's base (and its bytes); the step
+    # size; whether a poll overflowed since the last acceptance
+    p, f_current = p0, f0
     coords = tuple(p.tolist())
     w = np.zeros(m)
     w_bytes = w.tobytes()
@@ -202,6 +201,8 @@ def descend(
         else:
             points = [project_to_manifold(frame, step, pcfg) for step in steps]
             if points[0] is None or points[1] is None:
+                if not all(np.isfinite(frame.base + frame.U @ s).all() for s in steps):
+                    overflowed = True  # the poll started beyond the float range
                 # oracle failure: re-base the tangent frame at the current point
                 frame = tangent_frame(part, p)
                 w = np.zeros(m)
@@ -212,7 +213,7 @@ def descend(
                 event = UNSUCCESSFUL
                 for point, step in zip(points, steps):
                     try:
-                        f_poll, lifted = ftilde(point, warm)
+                        f_poll, lifted = ftilde(point, ambient)
                     except LiftError:
                         continue
                     except OverflowError:
@@ -222,7 +223,6 @@ def descend(
                         overflowed = True
                     elif f_poll < threshold:
                         p, w, f_current, ambient = point, step, f_poll, lifted
-                        warm = ambient[eliminated].tolist()
                         coords = tuple(p.tolist())
                         w_bytes = w.tobytes()
                         alpha = min(cfg.alpha_max, 2.0 * alpha_j)
@@ -235,12 +235,11 @@ def descend(
         if on_record is not None:
             on_record(rec)
 
-    window = min(500, cfg.j_max) if cfg.j_max > 0 else 1
     return DescentTrace(
         records=records,
         final_reduced=p,
         final_ambient=ambient,
         final_objective=f_current,
-        converged=check_convergence(records, window) and not overflowed,
+        converged=check_convergence(records, 500) and not overflowed,
         c_forcing=c_forcing,
     )

@@ -77,7 +77,7 @@ class TangentFrame:
     """Tangent data at an on-manifold base point.
 
     ``U`` has orthonormal columns spanning the null space of the retained
-    Jacobian ``J`` at ``base``; ``N`` is the pseudoinverse of ``J``.  The
+    Jacobian at ``base``; ``N`` is the pseudoinverse of that Jacobian.  The
     frame is immutable and safe to share.
     """
 
@@ -85,7 +85,6 @@ class TangentFrame:
     base: np.ndarray
     U: np.ndarray
     N: np.ndarray
-    J: np.ndarray
 
 
 # -- Jacobians and tangent frames --------------------------------------------
@@ -145,7 +144,7 @@ def tangent_frame(part: WhitneyPartition, p) -> TangentFrame:
                 f"tangent frame failed its invariants (orth {orth:.2e}, "
                 f"tangency {tang:.2e})"
             )
-    return TangentFrame(part, base, null, pinv, J)
+    return TangentFrame(part, base, null, pinv)
 
 
 # -- projection (the oracle) --------------------------------------------------
@@ -289,11 +288,12 @@ def _critical_points(dcoeffs: tuple[float, ...]) -> tuple[float, ...]:
 # -- the lift ------------------------------------------------------------------
 
 
-def _lift_values(
-    part: WhitneyPartition, p, warm: list[float] | None
-) -> list[float]:
+def _lift_values(part: WhitneyPartition, p, warm) -> list[float]:
     compiled = part.compiled
-    vals = [0.0] * len(part.order)
+    if warm is None:
+        vals = [0.0] * len(part.order)
+    else:
+        vals = np.asarray(warm, dtype=float).tolist()
     for i, v in zip(part.retained, p):
         vals[i] = float(v)
     for j, yvar in enumerate(part.eliminated):
@@ -310,7 +310,7 @@ def _lift_values(
                 name,
                 f"'{part.g_circ[j]}' has coefficients {coeffs} in {name}",
             )
-        guess = warm[j] if warm is not None else 0.0
+        guess = vals[yvar]
         roots.sort(key=lambda r: abs(r - guess))
         if len(roots) > 1 and abs(abs(roots[0] - guess) - abs(roots[1] - guess)) < 1e-9:
             raise AmbiguousRootError(
@@ -328,16 +328,16 @@ def lift(part: WhitneyPartition, p, warm=None) -> np.ndarray:
 
     The eliminated constraints are solved in elimination order; each is
     univariate once the retained coordinates and the previously solved
-    values are substituted.  Among multiple real roots the one nearest the
-    warm start is taken (nearest zero without one).  Roots are polished to
-    float precision.  Raises :class:`NoRealRootError` /
-    :class:`AmbiguousRootError`, and ``ValueError`` when ``p`` or ``warm``
-    has the wrong length.
+    values are substituted.  ``warm`` is an ambient point, typically the
+    lift the caller accepted; among multiple real roots each stage takes the
+    one nearest the warm start's value of its variable (nearest zero without
+    one).  Roots are polished to float precision.  Raises
+    :class:`NoRealRootError` / :class:`AmbiguousRootError`, and
+    ``ValueError`` when ``p`` or ``warm`` has the wrong length.
     """
     _check_length(p, part.reduced_dim, "reduced point")
     if warm is not None:
-        _check_length(warm, len(part.eliminated), "warm start")
-        warm = [float(v) for v in warm]
+        _check_length(warm, len(part.order), "warm start")
     return np.array(_lift_values(part, p, warm))
 
 
@@ -345,9 +345,9 @@ class PulledBackObjective:
     """An ambient objective composed with the lift.
 
     ``ftilde(p, warm)`` lifts reduced coordinates ``p`` as ``lift`` does,
-    each stage taking the root nearest ``warm``, and returns ``(value,
-    ambient)``.  It keeps no state: a caller stays on one sheet by passing
-    the eliminated values of the lift it accepted.  Raises
+    each stage taking the root nearest the ambient point ``warm``, and
+    returns ``(value, ambient)``.  It keeps no state: a caller stays on one
+    sheet by passing the lift it accepted.  Raises
     :class:`LiftError` when the lift fails and ``OverflowError`` when a
     power leaves the float range.
     """

@@ -174,10 +174,6 @@ class Polynomial:
     # -- structure --------------------------------------------------------
 
     @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    @property
     def is_constant(self) -> bool:
         return all(m == Monomial() for m in self.terms)
 

@@ -182,7 +182,7 @@ class TestProcedureLaws:
         amb = trace.final_ambient
         assert np.array_equal(amb[list(part.retained)], trace.final_reduced)
         assert f.evaluate(amb) == trace.final_objective
-        relifted = lift(part, trace.final_reduced, warm=[amb[3]])
+        relifted = lift(part, trace.final_reduced, warm=amb)
         assert np.array_equal(relifted, amb)
 
     def test_determinism(self, curve3):
@@ -294,7 +294,9 @@ class TestNumericFailures:
     def test_non_finite_step_rebases(self):
         # -u is unbounded below along x = 0, so the step doubles on every
         # success until w - alpha * u leaves the float range at j = 1023;
-        # that poll's projection fails and the iteration re-bases
+        # that poll's projection fails and the iteration re-bases.  Later
+        # successes reach u = 1.797e308, where the poll starts leave the
+        # float range although the steps do not: not converged
         order = VariableOrder(["u", "x"])
         sys = validate_triangular([parse_polynomial("x", order)], order)
         part = whitney_partition(sys, eliminate=[])
@@ -305,6 +307,7 @@ class TestNumericFailures:
         assert {r.event for r in trace.records[:1023]} == {SUCCESS}
         assert trace.records[1023].event == REBASE
         assert all(math.isfinite(r.f) for r in trace.records)
+        assert trace.converged is False
 
     def test_infinite_objective_fails_the_poll(self, circle):
         hits = []

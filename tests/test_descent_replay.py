@@ -21,6 +21,7 @@ from polydescent.descent import (
     DescentConfig,
     DescentProblem,
     DescentTrace,
+    InvalidStartError,
     TraceRecord,
     check_convergence,
     descend,
@@ -35,23 +36,28 @@ from polydescent.geometry import (
     residuals,
     tangent_frame,
 )
-from polydescent.polynomials import Monomial, Polynomial, VariableOrder, parse_polynomial
+from polydescent.polynomials import (
+    Monomial,
+    Polynomial,
+    VariableOrder,
+    eval_terms,
+    parse_polynomial,
+)
 from polydescent.triangular import validate_triangular, whitney_partition
 
 
 def reference_descend(problem: DescentProblem, cfg: DescentConfig) -> DescentTrace:
     """The polling loop without the replay: every iteration projects and lifts.
 
-    Each poll is lifted from the eliminated values of the accepted lift.
-    Starts are assumed valid.  A run whose polls overflowed or went
-    non-finite after its last acceptance does not count as converged.
+    Each poll is lifted from the accepted lift.  Starts are assumed valid.
+    A run whose polls overflowed, went non-finite or started beyond the
+    float range after its last acceptance does not count as converged.
     """
     part, pcfg = problem.partition, cfg.projection
     m = part.manifold_dim
     p = np.asarray(problem.start, dtype=float).copy()
     ftilde = PulledBackObjective(problem.objective, part)
     f_current, ambient = ftilde(p)
-    eliminated = list(part.eliminated)
     c_forcing = cfg.c_forcing if cfg.c_forcing is not None else 1e-4 * (1.0 + abs(f_current))
     rng = np.random.default_rng(cfg.seed)
     w = np.zeros(m)
@@ -66,6 +72,8 @@ def reference_descend(problem: DescentProblem, cfg: DescentConfig) -> DescentTra
         points = [project_to_manifold(frame, step, pcfg) for step in steps]
         alpha = 0.5 * alpha_j
         if points[0] is None or points[1] is None:
+            if not all(np.isfinite(frame.base + frame.U @ s).all() for s in steps):
+                overflowed = True
             frame = tangent_frame(part, p)
             w = np.zeros(m)
             event = REBASE
@@ -74,7 +82,7 @@ def reference_descend(problem: DescentProblem, cfg: DescentConfig) -> DescentTra
             event = UNSUCCESSFUL
             for point, step in zip(points, steps):
                 try:
-                    f_poll, lifted = ftilde(point, ambient[eliminated].tolist())
+                    f_poll, lifted = ftilde(point, ambient)
                 except LiftError:
                     continue
                 except OverflowError:
@@ -90,13 +98,12 @@ def reference_descend(problem: DescentProblem, cfg: DescentConfig) -> DescentTra
                     overflowed = False
                     break
         records.append(TraceRecord(j, alpha_j, f_current, event, tuple(p.tolist())))
-    window = min(500, cfg.j_max) if cfg.j_max > 0 else 1
     return DescentTrace(
         records=records,
         final_reduced=p,
         final_ambient=ambient,
         final_objective=f_current,
-        converged=check_convergence(records, window) and not overflowed,
+        converged=check_convergence(records, 500) and not overflowed,
         c_forcing=c_forcing,
     )
 
@@ -180,6 +187,9 @@ def test_replay_matches_the_reference_loop(system_seed, tower, seed, alpha0):
     trace = assert_same_run(problem, cfg)
     if isinstance(trace, DescentTrace):
         assert_trace_laws(problem, cfg, trace)
+        assert_pipeline_properties(problem, cfg, trace)
+    else:
+        assert issubclass(trace[0], (LiftError, NotRegularError, InvalidStartError, ValueError))
 
 
 def assert_trace_laws(problem: DescentProblem, cfg: DescentConfig, trace: DescentTrace):
@@ -199,8 +209,26 @@ def assert_trace_laws(problem: DescentProblem, cfg: DescentConfig, trace: Descen
             alpha = 0.5 * rec.alpha
     amb = trace.final_ambient
     assert problem.objective.evaluate(amb) == trace.final_objective
-    relifted = lift(part, trace.final_reduced, warm=amb[list(part.eliminated)])
+    relifted = lift(part, trace.final_reduced, warm=amb)
     assert relifted.tobytes() == amb.tobytes()
+
+
+def assert_pipeline_properties(problem: DescentProblem, cfg: DescentConfig, trace: DescentTrace):
+    """Records on the manifold, every original member at the final lift, a repeatable run.
+
+    The members hold to a backward error of 1e-9, relative to the sum of
+    their terms' magnitudes: ambient values reach 1e5 on random systems.
+    """
+    part = problem.partition
+    for rec in trace.records:
+        r = residuals(part, rec.coords)
+        assert float(np.max(np.abs(r))) <= cfg.projection.residual_tol
+    amb = trace.final_ambient.tolist()
+    for g in part.system.polynomials:
+        terms = g.compile()
+        scale = sum(abs(eval_terms([t], amb)) for t in terms)
+        assert abs(eval_terms(terms, amb)) <= 1e-9 * max(1.0, scale)
+    assert descend(problem, cfg).records == trace.records
 
 
 def test_stall_right_after_a_rebase(circle, monkeypatch):

@@ -66,8 +66,9 @@ class TestTangentFrame:
                 assert (
                     np.max(np.abs(frame.U.T @ frame.U - np.eye(m))) <= 1e-12
                 )
-                jn = np.max(np.abs(frame.J))
-                assert np.max(np.abs(frame.J @ frame.U)) <= 1e-10 * (1 + jn)
+                J = jacobian(curve3, frame.base)
+                jn = np.max(np.abs(J))
+                assert np.max(np.abs(J @ frame.U)) <= 1e-10 * (1 + jn)
 
 
 class TestProjection:
@@ -168,8 +169,8 @@ class TestLift:
 
     def test_warm_start_selects_nearest_root(self):
         part = _partition(["x", "y"], ["x - 4", "y^2 - x"], eliminate_names=["y"])
-        assert lift(part, [4.0], warm=[1.5])[1] == pytest.approx(2.0, abs=1e-12)
-        assert lift(part, [4.0], warm=[-0.1])[1] == pytest.approx(-2.0, abs=1e-12)
+        assert lift(part, [4.0], warm=[4.0, 1.5])[1] == pytest.approx(2.0, abs=1e-12)
+        assert lift(part, [4.0], warm=[4.0, -0.1])[1] == pytest.approx(-2.0, abs=1e-12)
 
     def test_close_root_pair_is_found(self):
         # y = x +- 0.01: both roots are real and share one cell of any grid
@@ -180,7 +181,7 @@ class TestLift:
             eliminate_names=["y"],
         )
         for warm, root in ((0.785, 0.79), (0.815, 0.81)):
-            amb = lift(part, [0.6, 0.8], warm=[warm])
+            amb = lift(part, [0.6, 0.8], warm=[0.6, 0.8, warm])
             assert amb[2] == pytest.approx(root, abs=1e-12)
 
     @pytest.mark.parametrize("exponent", [90, 200])
@@ -235,7 +236,7 @@ class TestWrongLength:
         with pytest.raises(ValueError, match="reduced point has"):
             fn(curve3, p)
 
-    @pytest.mark.parametrize("warm", [[], [-0.9, 1.0]])
+    @pytest.mark.parametrize("warm", [[], [-0.9, 1.0], [-0.9]])
     def test_warm_start(self, curve3, warm):
         with pytest.raises(ValueError, match="warm start has"):
             lift(curve3, curve3_point(0.6), warm=warm)
@@ -272,7 +273,7 @@ class TestPullback:
         p = np.array([0.8, 0.8])
         roots = sorted(float(r.real) for r in np.roots([1.0, 0.0, -3.0, -0.8]))
         assert len(roots) == 3
-        warms = [[r + 0.05] for r in roots] + [None]
+        warms = [[0.8, 0.8, r + 0.05] for r in roots] + [None]
         first = [ftilde(p, warm) for warm in warms]
         for (value, ambient), root in zip(first, roots):
             assert value == pytest.approx(root, abs=1e-12)
