@@ -21,6 +21,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,6 +88,7 @@ _ERROR_CODES: list[tuple[type, str]] = [
     (NoRealRootError, "NO_REAL_ROOT"),
     (AmbiguousRootError, "AMBIGUOUS_ROOT"),
     (LiftError, "LIFT_ERROR"),
+    (OverflowError, "OVERFLOW"),
     (InvalidStartError, "INVALID_START"),
     (StartOffManifoldError, "START_OFF_MANIFOLD"),
     (ProblemFileError, "PROBLEM_FILE"),
@@ -236,10 +238,6 @@ def load_problem(
 # -- subcommands ---------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _point_dict(part: WhitneyPartition, vars_idx, coords) -> dict[str, float]:
     return {part.order[v]: float(c) for v, c in zip(vars_idx, coords)}
 
@@ -275,23 +273,17 @@ def _cmd_run(args) -> int:
     )
     problem = DescentProblem(part, problem_file.objective, problem_file.start)
 
-    trace_fh = open(args.trace, "w", encoding="utf-8") if args.trace else None
-    try:
-        if trace_fh is not None:
+    on_record = None
+    with open(args.trace, "w", encoding="utf-8") if args.trace else nullcontext() as fh:
+        if fh is not None:
             header = ["j", "alpha", "f", "event", *part.retained_names()]
-            trace_fh.write(",".join(header) + "\n")
+            fh.write(",".join(header) + "\n")
 
             def on_record(rec):
-                row = [str(rec.j), _fmt(rec.alpha), _fmt(rec.f), rec.event]
-                row.extend(_fmt(c) for c in rec.coords)
-                trace_fh.write(",".join(row) + "\n")
+                row = [rec.j, rec.alpha, rec.f, rec.event, *rec.coords]
+                fh.write(",".join(map(str, row)) + "\n")
 
-        else:
-            on_record = None
         trace = descend(problem, cfg, on_record)
-    finally:
-        if trace_fh is not None:
-            trace_fh.close()
 
     # every emitted ambient point is re-checked against the file's full
     # constraint list, not just the partitioned blocks

@@ -13,6 +13,7 @@ accepted point, is reported as not converged.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -43,10 +44,10 @@ class DescentConfig:
     """Parameters of the polling loop.
 
     The step law is fixed: the step halves after a failed poll or a re-base
-    and doubles after a success, never beyond ``alpha_max``.  ``c_forcing``
-    is the C in the sufficient-decrease threshold C * alpha^2; left as None
-    it is chosen as 1e-4 * (1 + |f at the start|) so the threshold is
-    meaningful across objective scales.
+    and doubles after a success, never beyond ``alpha_max`` or the largest
+    float.  ``c_forcing`` is the C in the sufficient-decrease threshold
+    C * alpha^2; left as None it is chosen as 1e-4 * (1 + |f at the start|)
+    so the threshold is meaningful across objective scales.
     """
 
     alpha0: float
@@ -146,11 +147,12 @@ def descend(
     Polls are lifted from the accepted lift (the start's, then each
     success's), which ends as ``final_ambient``; a failed poll never moves
     the descent to another sheet.  An iteration whose two steps both equal
-    ``w`` bitwise is UNSUCCESSFUL without projecting or lifting.  That is
-    exact: the projection is deterministic in the frame and ``w``, so both
-    polls are ``p``, and ``p`` lifted from its accepted lift ``ambient``
-    gives ``f_current`` or a lift error, never a value below
-    ``f_current - C * alpha^2``.
+    ``w`` is UNSUCCESSFUL without projecting or lifting.  That is exact: the
+    projection is deterministic in the frame and ``w``, so both polls are
+    ``p``, and ``p`` lifted from its accepted lift ``ambient`` gives
+    ``f_current`` or a lift error, never a value below
+    ``f_current - C * alpha^2``.  Float ``==`` is bitwise equality here,
+    because ``w`` never holds -0.0 or NaN.
     """
     part = problem.partition
     m = part.manifold_dim
@@ -180,12 +182,13 @@ def descend(
 
     rng = np.random.default_rng(cfg.seed)
     # loop state: the accepted point, its value, lift (the warm start) and
-    # coordinates; the offset from the frame's base (and its bytes); the step
-    # size; whether a poll overflowed since the last acceptance
+    # coordinates; the offset w from the frame's base; the step size; whether
+    # a poll overflowed since the last acceptance.  w starts at +0.0 and takes
+    # only finite accepted steps, and round-to-nearest addition gives -0.0 only
+    # from a -0.0 operand, so w never holds -0.0 or NaN: == on it is bitwise
     p, f_current = p0, f0
     coords = tuple(p.tolist())
-    w = np.zeros(m)
-    w_bytes = w.tobytes()
+    w = [0.0] * m
     alpha = cfg.alpha0
     frame = tangent_frame(part, p0)
     overflowed = False
@@ -193,10 +196,10 @@ def descend(
 
     for j in range(cfg.j_max):
         alpha_j = alpha
-        u = random_unit_direction(rng, m)
-        steps = (w + alpha_j * u, w - alpha_j * u)
+        du = [alpha_j * c for c in random_unit_direction(rng, m).tolist()]
+        steps = ([a + b for a, b in zip(w, du)], [a - b for a, b in zip(w, du)])
         alpha = 0.5 * alpha_j
-        if steps[0].tobytes() == w_bytes and steps[1].tobytes() == w_bytes:
+        if steps[0] == w == steps[1]:
             event = UNSUCCESSFUL  # both polls are p itself
         else:
             points = [project_to_manifold(frame, step, pcfg) for step in steps]
@@ -205,8 +208,7 @@ def descend(
                     overflowed = True  # the poll started beyond the float range
                 # oracle failure: re-base the tangent frame at the current point
                 frame = tangent_frame(part, p)
-                w = np.zeros(m)
-                w_bytes = w.tobytes()
+                w = [0.0] * m
                 event = REBASE
             else:
                 threshold = f_current - c_forcing * alpha_j * alpha_j
@@ -224,8 +226,7 @@ def descend(
                     elif f_poll < threshold:
                         p, w, f_current, ambient = point, step, f_poll, lifted
                         coords = tuple(p.tolist())
-                        w_bytes = w.tobytes()
-                        alpha = min(cfg.alpha_max, 2.0 * alpha_j)
+                        alpha = min(cfg.alpha_max, 2.0 * alpha_j, sys.float_info.max)
                         event = SUCCESS
                         overflowed = False
                         break

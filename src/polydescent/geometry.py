@@ -305,6 +305,8 @@ def _lift_values(part: WhitneyPartition, p, warm) -> list[float]:
                 j, name, "constraint vanishes identically at this point"
             )
         if not roots:
+            if not all(map(math.isfinite, coeffs)):
+                raise OverflowError(f"lift stage {j} ({name}) has coefficients {coeffs}")
             raise NoRealRootError(
                 j,
                 name,
@@ -320,6 +322,8 @@ def _lift_values(part: WhitneyPartition, p, warm) -> list[float]:
                 f"warm start {guess}",
             )
         vals[yvar] = roots[0]
+        if not math.isfinite(roots[0]):
+            raise OverflowError(f"lift stage {j} ({name}) has root {roots[0]}")
     return vals
 
 
@@ -332,7 +336,9 @@ def lift(part: WhitneyPartition, p, warm=None) -> np.ndarray:
     lift the caller accepted; among multiple real roots each stage takes the
     one nearest the warm start's value of its variable (nearest zero without
     one).  Roots are polished to float precision.  Raises
-    :class:`NoRealRootError` / :class:`AmbiguousRootError`, and
+    :class:`NoRealRootError` / :class:`AmbiguousRootError`,
+    ``OverflowError`` when a stage's chosen root is not finite or a stage
+    with no real root has a coefficient that is not finite, and
     ``ValueError`` when ``p`` or ``warm`` has the wrong length.
     """
     _check_length(p, part.reduced_dim, "reduced point")

@@ -230,11 +230,7 @@ class Polynomial:
         return Polynomial(self.order, out)
 
     def __sub__(self, other: Polynomial) -> Polynomial:
-        self._check_order(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) - c
-        return Polynomial(self.order, out)
+        return self + -other
 
     def __neg__(self) -> Polynomial:
         return Polynomial(self.order, {m: -c for m, c in self.terms.items()})
@@ -254,18 +250,12 @@ class Polynomial:
         """Exact partial derivative with respect to the variable at ``var``."""
         if not 0 <= var < len(self.order):
             raise ValueError(f"variable index {var} out of range")
+        # lowering one exponent maps distinct monomials to distinct monomials
         out: dict[Monomial, Fraction] = {}
         for m, c in self.terms.items():
             e = m.degree_of(var)
-            if e == 0:
-                continue
-            lowered = dict(m.exps)
-            if e == 1:
-                del lowered[var]
-            else:
-                lowered[var] = e - 1
-            mm = Monomial.of(lowered)
-            out[mm] = out.get(mm, Fraction(0)) + c * e
+            if e:
+                out[Monomial.of({**dict(m.exps), var: e - 1})] = c * e
         return Polynomial(self.order, out)
 
     def compile(self, index_of: Mapping[int, int] | None = None) -> Terms:
@@ -331,30 +321,21 @@ class Polynomial:
 
 # -- parsing ---------------------------------------------------------------
 
+# every non-space character starts a match, so the matches tile the text up
+# to trailing whitespace; 'bad' catches the characters no token starts with
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^()]))"
+    r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^()])"
+    r"|(?P<bad>\S))"
 )
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            # only whitespace may remain unmatched
-            rest = text[pos:]
-            if rest.strip():
-                bad = pos + len(rest) - len(rest.lstrip())
-                raise ParseError(f"unexpected character '{text[bad]}'", bad)
-            break
-        if m.group("num"):
-            tokens.append(("num", m.group("num"), m.start("num")))
-        elif m.group("name"):
-            tokens.append(("name", m.group("name"), m.start("name")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character '{m[kind]}'", m.start(kind))
+        tokens.append((kind, m[kind], m.start(kind)))
     tokens.append(("eof", "", len(text)))
     return tokens
 

@@ -288,29 +288,29 @@ def _back_substitute(T: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 class LinearTriangularForm:
     """Row-triangularized linear constraints split into solve stages.
 
-    The rows come from a QR factorization of the original ``A``; solving
-    ``[A22 A23][x; u] = b2`` walks the reduced manifold and back-substituting
+    ``r`` and ``qtb`` are R and Q^T b from a QR factorization of the original
+    k x (m + k) ``A``.  Split at row and column ``split`` and column k, they
+    hold the blocks A11 ... A23 and b1, b2: solving ``[A22 A23][x; u] = b2``
+    walks the reduced manifold and back-substituting
     ``A11 y = b1 - A12 x - A13 u`` recovers the full point.
     """
 
-    a11: np.ndarray
-    a12: np.ndarray
-    a13: np.ndarray
-    a22: np.ndarray
-    a23: np.ndarray
-    b1: np.ndarray
-    b2: np.ndarray
+    r: np.ndarray
+    qtb: np.ndarray
+    split: int
 
     def solve_reduced(self, u: np.ndarray) -> np.ndarray:
         """x such that [A22 A23][x; u] = b2, for a freely chosen u."""
         u = np.asarray(u, dtype=float)
-        return _back_substitute(self.a22, self.b2 - self.a23 @ u)
+        s, k, r = self.split, self.r.shape[0], self.r
+        return _back_substitute(r[s:, s:k], self.qtb[s:] - r[s:, k:] @ u)
 
     def recover(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Full point z = [y x u] with y back-substituted from the top block."""
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
-        y = _back_substitute(self.a11, self.b1 - self.a12 @ x - self.a13 @ u)
+        s, k, r = self.split, self.r.shape[0], self.r
+        y = _back_substitute(r[:s, :s], self.qtb[:s] - r[:s, s:k] @ x - r[:s, k:] @ u)
         return np.concatenate([y, x, u])
 
 
@@ -342,15 +342,4 @@ def linear_whitney(A: np.ndarray, b: np.ndarray, m: int) -> LinearTriangularForm
             "triangularization failed: A is rank deficient (or a leading "
             "column block is singular in this variable order)"
         )
-    bt = q.T @ b
-
-    split = k - m - 1
-    return LinearTriangularForm(
-        a11=r[:split, :split],
-        a12=r[:split, split:k],
-        a13=r[:split, k:],
-        a22=r[split:, split:k],
-        a23=r[split:, k:],
-        b1=bt[:split],
-        b2=bt[split:],
-    )
+    return LinearTriangularForm(r, q.T @ b, k - m - 1)

@@ -169,6 +169,16 @@ class TestRun:
         assert code == 1
         assert "IO_ERROR" in capsys.readouterr().err
 
+    def test_lift_overflow_error_code(self, tmp_path, capsys):
+        path = tmp_path / "overflow.problem"
+        path.write_text(
+            "vars: u x y\neliminate: y\nconstraint: x - u\n"
+            "constraint: y^3 + y - u*x\nobjective: y\nstart: u=1e200, x=1e200\n"
+        )
+        code = main(["run", "--problem", str(path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: OVERFLOW: ")
+
     def test_validation_error_code(self, tmp_path, capsys):
         path = tmp_path / "bad.problem"
         path.write_text("vars: x\nconstraint: 3\nobjective: x\nstart: x=0\n")

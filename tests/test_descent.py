@@ -309,6 +309,21 @@ class TestNumericFailures:
         assert all(math.isfinite(r.f) for r in trace.records)
         assert trace.converged is False
 
+    def test_doubled_step_is_capped_at_the_largest_float(self):
+        # from alpha0 = 1e308 the first success would double the step to
+        # inf, and 0.5 * inf is inf, so every later iteration re-based.
+        # Capped, the step stays finite and the descent keeps succeeding
+        order = VariableOrder(["u", "x"])
+        sys = validate_triangular([parse_polynomial("x", order)], order)
+        part = whitney_partition(sys, eliminate=[])
+        f = parse_polynomial("-u", order)
+        cfg = DescentConfig(alpha0=1e308, c_forcing=5e-324, j_max=50, seed=0)
+        trace = descend(DescentProblem(part, f, np.zeros(2)), cfg)
+        events = [r.event for r in trace.records]
+        assert (events.count(SUCCESS), events.count(REBASE)) == (13, 37)
+        assert all(math.isfinite(r.alpha) for r in trace.records)
+        assert trace.converged is False
+
     def test_infinite_objective_fails_the_poll(self, circle):
         hits = []
 
@@ -372,6 +387,17 @@ class TestConfigValidation:
     def test_bad_forcing(self):
         with pytest.raises(ValueError):
             DescentConfig(alpha0=0.1, c_forcing=-1.0)
+
+    @pytest.mark.parametrize("field", ["j_max", "seed"])
+    def test_negative_count(self, field):
+        with pytest.raises(ValueError, match=field):
+            DescentConfig(alpha0=0.1, **{field: -1})
+
+    @pytest.mark.parametrize("start", [[0.0], [0.0, 1.0, 0.0], [[0.0, 1.0]]])
+    def test_start_of_the_wrong_shape(self, curve3, start):
+        f = parse_polynomial("y", curve3.order)
+        with pytest.raises(ValueError, match="start point must have 2"):
+            descend(DescentProblem(curve3, f, np.array(start)), DescentConfig(alpha0=0.25))
 
     def test_alpha_max_cap(self, curve3):
         f = parse_polynomial("y", curve3.order)

@@ -7,6 +7,7 @@ loop that projects and lifts on every iteration, and count what that saves.
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -93,7 +94,7 @@ def reference_descend(problem: DescentProblem, cfg: DescentConfig) -> DescentTra
                 elif f_poll < threshold:
                     p, w, f_current = point, step, f_poll
                     ambient = lifted
-                    alpha = min(cfg.alpha_max, 2.0 * alpha_j)
+                    alpha = min(cfg.alpha_max, 2.0 * alpha_j, sys.float_info.max)
                     event = SUCCESS
                     overflowed = False
                     break
@@ -203,7 +204,7 @@ def assert_trace_laws(problem: DescentProblem, cfg: DescentConfig, trace: Descen
         if rec.event == SUCCESS:
             assert rec.f < f_prev - trace.c_forcing * rec.alpha * rec.alpha
             f_prev, coords = rec.f, rec.coords
-            alpha = min(cfg.alpha_max, 2.0 * rec.alpha)
+            alpha = min(cfg.alpha_max, 2.0 * rec.alpha, sys.float_info.max)
         else:
             assert (rec.f, rec.coords) == (f_prev, coords)
             alpha = 0.5 * rec.alpha

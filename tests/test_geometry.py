@@ -162,6 +162,14 @@ class TestLift:
         assert exc.value.stage == 0
         assert exc.value.var_name == "y"
 
+    @pytest.mark.parametrize("top", ["y - u*x", "y^3 + y - u*x"])
+    def test_a_stage_beyond_the_float_range_overflows(self, top):
+        # u*x = 1e400: the linear stage's root is inf, and the cubic's
+        # Fujiwara bound is inf although its root, about 2.2e133, is not
+        part = _partition(["u", "x", "y"], ["x - u", top], eliminate_names=["y"])
+        with pytest.raises(OverflowError, match=r"lift stage 0 \(y\)"):
+            lift(part, [1e200, 1e200])
+
     def test_ambiguous_without_warm_start(self):
         part = _partition(["x", "y"], ["x - 1", "y^2 - x"], eliminate_names=["y"])
         with pytest.raises(AmbiguousRootError):

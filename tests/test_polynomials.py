@@ -56,6 +56,20 @@ class TestParsing:
             parse_polynomial("u + + x", UX)
         assert exc.value.offset == 4
 
+    @pytest.mark.parametrize(
+        "text, message, offset",
+        [
+            ("x $ u", "unexpected character '$'", 2),
+            ("1/x", "expected integer denominator", 2),
+            ("(x + u", "expected ')'", 6),
+        ],
+    )
+    def test_error_message_and_offset(self, text, message, offset):
+        with pytest.raises(ParseError) as exc:
+            parse_polynomial(text, UX)
+        assert str(exc.value) == f"{message} (at offset {offset})"
+        assert exc.value.offset == offset
+
     def test_bad_exponent(self):
         with pytest.raises(InvalidExponentError):
             parse_polynomial("x^(2)", UX)

@@ -164,6 +164,15 @@ class TestPartition:
         part = whitney_partition(sys, eliminate=[order.index("y")])
         assert part.eliminated == (order.index("y"),)
 
+    @pytest.mark.parametrize("top, eliminated", [("z^2 - y", ()), ("z^3 + z - y", (3,))])
+    def test_auto_stops_at_a_member_without_a_guaranteed_root(self, top, eliminated):
+        # m = 1 over four variables, so auto may eliminate one member; the
+        # even-degree top member has no guaranteed real root
+        order = VariableOrder(["u", "x", "y", "z"])
+        polys = [parse_polynomial(t, order) for t in ("x - u", "y - x", top)]
+        part = whitney_partition(validate_triangular(polys, order), AUTO)
+        assert part.eliminated == eliminated
+
     def test_conservation_and_dimensions_random(self):
         rng = random.Random(42)
         for _ in range(100):
