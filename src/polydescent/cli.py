@@ -66,8 +66,8 @@ from .triangular import (
 
 
 class ProblemFileError(ValueError):
-    def __init__(self, message: str, line: int | None = None):
-        super().__init__(message if line is None else f"line {line}: {message}")
+    def __init__(self, message: str, line: int):
+        super().__init__(f"line {line}: {message}")
         self.line = line
 
 
@@ -120,39 +120,36 @@ def load_problem(
     cfg: ProjectionConfig = DEFAULT_PROJECTION,
     project_start: bool = True,
 ) -> ProblemFile:
-    """Parse and validate a problem file.
+    """Parse and validate a problem file, reading its lines in one pass.
 
-    The start point is projected onto the reduced manifold (unless
-    ``project_start`` is false); a start outside the projection's reach
-    raises :class:`StartOffManifoldError`.
+    A fault in the file raises :class:`ProblemFileError` with its line.  The
+    start assigns each retained variable once, to a finite number, and is
+    projected onto the reduced manifold (unless ``project_start`` is false);
+    a start outside the projection's reach raises :class:`StartOffManifoldError`.
     """
     with open(path, "r", encoding="utf-8") as fh:
         raw_lines = fh.readlines()
 
-    entries: list[tuple[int, str, str]] = []
+    keys = ("vars", "eliminate", "constraint", "objective", "start")
+    lines: dict[str, list[tuple[int, str]]] = {k: [] for k in keys}
     for lineno, raw in enumerate(raw_lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if ":" not in line:
             raise ProblemFileError("expected 'key: value'", lineno)
-        key, value = line.split(":", 1)
-        entries.append((lineno, key.strip(), value.strip()))
+        key, value = map(str.strip, line.split(":", 1))
+        if key not in lines:
+            raise ProblemFileError(f"unknown key '{key}'", lineno)
+        lines[key].append((lineno, value))
 
     def single(key: str, required: bool = True) -> tuple[int, str] | None:
-        found = [(ln, v) for ln, k, v in entries if k == key]
+        found = lines[key]
         if len(found) > 1:
             raise ProblemFileError(f"duplicate '{key}' line", found[1][0])
-        if not found:
-            if required:
-                raise ProblemFileError(f"missing '{key}' line", len(raw_lines))
-            return None
-        return found[0]
-
-    known = {"vars", "eliminate", "constraint", "objective", "start"}
-    for ln, k, _ in entries:
-        if k not in known:
-            raise ProblemFileError(f"unknown key '{k}'", ln)
+        if not found and required:
+            raise ProblemFileError(f"missing '{key}' line", len(raw_lines))
+        return found[0] if found else None
 
     ln_vars, vars_value = single("vars")
     try:
@@ -161,9 +158,7 @@ def load_problem(
         raise ProblemFileError(str(exc), ln_vars) from exc
 
     constraints: list[Polynomial] = []
-    for ln, k, v in entries:
-        if k != "constraint":
-            continue
+    for ln, v in lines["constraint"]:
         try:
             constraints.append(parse_polynomial(v, order))
         except ParseError as exc:
@@ -203,10 +198,14 @@ def load_problem(
         name = name.strip()
         if name not in order:
             raise ProblemFileError(f"unknown variable '{name}'", ln_start)
+        if name in assignment:
+            raise ProblemFileError(f"'{name}' assigned twice", ln_start)
         try:
             assignment[name] = float(num)
         except ValueError as exc:
             raise ProblemFileError(f"bad number in '{piece}'", ln_start) from exc
+        if not math.isfinite(assignment[name]):
+            raise ProblemFileError(f"number in '{piece}' is not finite", ln_start)
 
     retained_names = set(partition.retained_names())
     extra = sorted(set(assignment) - retained_names)

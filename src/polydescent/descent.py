@@ -36,7 +36,7 @@ REBASE = "REBASE"
 
 
 class InvalidStartError(ValueError):
-    """The supplied start point is not on the reduced manifold."""
+    """The supplied start point is not finite or not on the reduced manifold."""
 
 
 @dataclass(frozen=True)
@@ -120,8 +120,7 @@ def check_convergence(trace: DescentTrace | Iterable[TraceRecord], window: int) 
     records = trace.records if isinstance(trace, DescentTrace) else list(trace)
     if not records:
         return False
-    tail = records[-window:] if window > 0 else records
-    if any(r.event == REBASE for r in tail):
+    if any(r.event == REBASE for r in records[-window:]):
         return False
     return records[-1].alpha < 1e-8
 
@@ -140,9 +139,10 @@ def descend(
     A lift failure, an overflow or a value that is not finite while
     evaluating the objective merely fails that poll direction; a projection
     failure on either direction, a step that is not finite included,
-    triggers a re-base.  Raises :class:`InvalidStartError` when the start is
-    off the manifold or its objective value is not finite.  Identical
-    problem and config (seed included) reproduce the trace bit for bit.
+    triggers a re-base.  Raises :class:`InvalidStartError` when the start or
+    its objective value is not finite, or a start residual is not within
+    ``residual_tol``.  Identical problem and config (seed included)
+    reproduce the trace bit for bit.
 
     Polls are lifted from the accepted lift (the start's, then each
     success's), which ends as ``final_ambient``; a failed poll never moves
@@ -165,11 +165,12 @@ def descend(
         raise ValueError(
             f"start point must have {part.reduced_dim} coordinates, got {p0.shape}"
         )
-    r0 = residuals(part, p0)
-    if r0.size and float(np.max(np.abs(r0))) > pcfg.residual_tol:
+    if not np.isfinite(p0).all():
+        raise InvalidStartError(f"start point {p0.tolist()} is not finite")
+    r0 = float(np.max(np.abs(residuals(part, p0))))
+    if not r0 <= pcfg.residual_tol:
         raise InvalidStartError(
-            f"start residual {float(np.max(np.abs(r0))):.3e} exceeds "
-            f"tolerance {pcfg.residual_tol:.3e}"
+            f"start residual {r0:.3e} exceeds tolerance {pcfg.residual_tol:.3e}"
         )
 
     ftilde = PulledBackObjective(problem.objective, part)

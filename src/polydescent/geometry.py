@@ -116,8 +116,7 @@ def regular_pinv(part: WhitneyPartition, p) -> tuple[np.ndarray, np.ndarray, np.
     """
     J = jacobian(part, p)
     u, s, vt = np.linalg.svd(J, full_matrices=True)
-    smax = s[0] if s.size else 0.0
-    cutoff = max(J.shape) * np.finfo(float).eps * smax
+    cutoff = max(J.shape) * np.finfo(float).eps * s[0]
     rank = int(np.sum(s > cutoff))
     if rank < len(part.g_star):
         raise NotRegularError(
@@ -164,10 +163,9 @@ def project_to_manifold(
     function theorem stopped holding out here, and the caller re-bases.
     """
     compiled_residuals = frame.partition.compiled.residuals
-    w = np.asarray(w, dtype=float)
-    if not all(map(math.isfinite, w.tolist())):
+    if not all(map(math.isfinite, w)):
         return None  # before numpy warns of it in the product
-    q0 = (frame.base + frame.U @ w).tolist()
+    q0 = (frame.base + frame.U @ np.asarray(w, dtype=float)).tolist()
     if not all(map(math.isfinite, q0)):
         return None
     q = list(q0)

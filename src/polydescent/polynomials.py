@@ -264,10 +264,9 @@ class Polynomial:
         Variable ``i`` is read from slot ``index_of[i]`` of the evaluation
         point, or from slot ``i`` without a map.
         """
-        if index_of is None:
-            return [(float(c), m.exps) for m, c in self.terms.items()]
+        ix = range(len(self.order)) if index_of is None else index_of
         return [
-            (float(c), tuple((index_of[i], e) for i, e in m.exps))
+            (float(c), tuple((ix[i], e) for i, e in m.exps))
             for m, c in self.terms.items()
         ]
 

@@ -65,10 +65,13 @@ def validate_triangular(
 ) -> TriangularSystem:
     """Check the triangular-set conditions and classify the variables.
 
-    Raises :class:`ConstantMemberError` if any member is constant (the zero
-    polynomial included) and :class:`DuplicateMainVariableError` if two
-    members share a main variable.
+    Raises ``ValueError`` if ``polys`` is empty (a manifold needs at least
+    one member to cut it out), :class:`ConstantMemberError` if any member is
+    constant (the zero polynomial included) and
+    :class:`DuplicateMainVariableError` if two members share a main variable.
     """
+    if not polys:
+        raise ValueError("a triangular system needs at least one member")
     by_mvar: dict[int, Polynomial] = {}
     for p in polys:
         if p.order != order:
@@ -216,14 +219,10 @@ def whitney_partition(
             raise ValueError(f"unknown elimination mode '{eliminate}'")
         target = min(2 * m + 1, n)
         chosen: list[int] = []
-        d = n
         for v in sorted(sys.algebraic_vars, reverse=True):
-            if d <= target:
-                break
-            if not _real_root_guaranteed(by_mvar[v]):
+            if n - len(chosen) <= target or not _real_root_guaranteed(by_mvar[v]):
                 break
             chosen.append(v)
-            d -= 1
         eliminated = tuple(sorted(chosen))
     else:
         eliminated = tuple(eliminate)
@@ -247,7 +246,7 @@ def whitney_partition(
     g_star = tuple(
         p for p in sys.polynomials if p.main_variable() not in elim_set
     )
-    if len(sys.polynomials) > 0 and not g_star:
+    if not g_star:
         raise EmptyReducedSystemError(
             "all constraints eliminated; nothing left to descend on"
         )
@@ -276,14 +275,6 @@ def whitney_partition(
 # -- the linear special case -------------------------------------------------
 
 
-def _back_substitute(T: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    n = T.shape[0]
-    out = np.zeros(n)
-    for i in range(n - 1, -1, -1):
-        out[i] = (rhs[i] - T[i, i + 1 :] @ out[i + 1 :]) / T[i, i]
-    return out
-
-
 @dataclass
 class LinearTriangularForm:
     """Row-triangularized linear constraints split into solve stages.
@@ -291,7 +282,7 @@ class LinearTriangularForm:
     ``r`` and ``qtb`` are R and Q^T b from a QR factorization of the original
     k x (m + k) ``A``.  Split at row and column ``split`` and column k, they
     hold the blocks A11 ... A23 and b1, b2: solving ``[A22 A23][x; u] = b2``
-    walks the reduced manifold and back-substituting
+    walks the reduced manifold and solving
     ``A11 y = b1 - A12 x - A13 u`` recovers the full point.
     """
 
@@ -303,14 +294,14 @@ class LinearTriangularForm:
         """x such that [A22 A23][x; u] = b2, for a freely chosen u."""
         u = np.asarray(u, dtype=float)
         s, k, r = self.split, self.r.shape[0], self.r
-        return _back_substitute(r[s:, s:k], self.qtb[s:] - r[s:, k:] @ u)
+        return np.linalg.solve(r[s:, s:k], self.qtb[s:] - r[s:, k:] @ u)
 
     def recover(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Full point z = [y x u] with y back-substituted from the top block."""
+        """Full point z = [y x u] with y solved from the top block."""
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
         s, k, r = self.split, self.r.shape[0], self.r
-        y = _back_substitute(r[:s, :s], self.qtb[:s] - r[:s, s:k] @ x - r[:s, k:] @ u)
+        y = np.linalg.solve(r[:s, :s], self.qtb[:s] - r[:s, s:k] @ x - r[:s, k:] @ u)
         return np.concatenate([y, x, u])
 
 
@@ -336,8 +327,8 @@ def linear_whitney(A: np.ndarray, b: np.ndarray, m: int) -> LinearTriangularForm
 
     q, r = np.linalg.qr(A)
     diag = np.abs(np.diagonal(r))
-    tol = max(A.shape) * np.finfo(float).eps * (diag.max() if k else 0.0)
-    if k and diag.min() <= tol:
+    tol = max(A.shape) * np.finfo(float).eps * diag.max()
+    if diag.min() <= tol:
         raise RankDeficientError(
             "triangularization failed: A is rank deficient (or a leading "
             "column block is singular in this variable order)"

@@ -96,6 +96,65 @@ class TestLoadProblem:
             load_problem(str(path))
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize(
+        "old, new, line, message",
+        [
+            ("constraint:", "constraint", 2, "expected 'key: value'"),
+            ("start: u=0, x=1\n", "start: u=0, x=1\nvars: u x\n", 5, "duplicate 'vars' line"),
+            ("objective: x\n", "", 3, "missing 'objective' line"),
+            ("vars: u x", "vars: u u", 1, "variable order contains duplicate names"),
+            ("constraint: u^2 + x^2 - 1\n", "", 3, "no 'constraint' lines"),
+            (
+                "objective: x",
+                "objective: x +",
+                3,
+                "bad objective: unexpected 'end of input' (at offset 3)",
+            ),
+            ("vars: u x", "vars: u x\neliminate: w", 2, "unknown variable 'w'"),
+            ("u=0, x=1", "u 0, x=1", 4, "bad start entry 'u 0'"),
+            ("u=0, x=1", "w=0, x=1", 4, "unknown variable 'w'"),
+            ("u=0, x=1", "u=zero, x=1", 4, "bad number in 'u=zero'"),
+            ("u=0, x=1", "u=0, u=1, x=1", 4, "'u' assigned twice"),
+            ("u=0, x=1", "u=nan, x=1", 4, "number in 'u=nan' is not finite"),
+            ("u=0, x=1", "u=inf, x=1", 4, "number in 'u=inf' is not finite"),
+        ],
+        ids=[
+            "no-colon",
+            "duplicate-key",
+            "missing-key",
+            "bad-vars",
+            "no-constraint",
+            "bad-objective",
+            "unknown-eliminated",
+            "start-without-equals",
+            "start-unknown-variable",
+            "start-bad-number",
+            "start-assigned-twice",
+            "start-nan",
+            "start-inf",
+        ],
+    )
+    def test_fault_is_reported_at_its_line(self, tmp_path, old, new, line, message):
+        path = tmp_path / "bad.problem"
+        path.write_text(CIRCLE_PROBLEM.replace(old, new))
+        with pytest.raises(ProblemFileError) as exc:
+            load_problem(str(path))
+        assert exc.value.line == line
+        assert str(exc.value) == f"line {line}: {message}"
+
+    def test_first_faulty_line_is_reported(self, tmp_path):
+        # an unknown key on line 2 is reported before a malformed line 4
+        path = tmp_path / "two.problem"
+        path.write_text(CIRCLE_PROBLEM.replace("constraint:", "bogus: 1\nconstraint"))
+        with pytest.raises(ProblemFileError) as exc:
+            load_problem(str(path))
+        assert exc.value.line == 2
+
+    def test_empty_start_pieces_are_skipped(self, tmp_path):
+        path = tmp_path / "commas.problem"
+        path.write_text(CIRCLE_PROBLEM.replace("u=0, x=1", "u=0,, x=1,"))
+        assert load_problem(str(path), project_start=False).start.tolist() == [0.0, 1.0]
+
     def test_parse_error_reports_line(self, tmp_path):
         path = tmp_path / "syntax.problem"
         path.write_text(
@@ -179,6 +238,25 @@ class TestRun:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: OVERFLOW: ")
 
+    def test_residual_check_exit(self, tmp_path, capsys):
+        # y is the float nearest the root of y^5 - 1e23*x, but at terms of
+        # size 1e23 the original constraint cannot hold to 10 * tolerance
+        path = tmp_path / "loose.problem"
+        path.write_text(
+            "vars: u x y\neliminate: y\nconstraint: u^2 + x^2 - 1\n"
+            "constraint: y^5 - 100000000000000000000000*x\nobjective: u\n"
+            "start: u=0, x=1\n"
+        )
+        report = tmp_path / "report.json"
+        argv = ["run", "--problem", str(path), "--max-iter", "20", "--report", str(report)]
+        assert main(argv) == 1
+        residual = json.loads(report.read_text())["max_constraint_residual"]
+        assert residual > 1e3
+        assert capsys.readouterr().err == (
+            "error: RESIDUAL_CHECK: lifted point violates the original "
+            f"constraints (residual {residual:.3e})\n"
+        )
+
     def test_validation_error_code(self, tmp_path, capsys):
         path = tmp_path / "bad.problem"
         path.write_text("vars: x\nconstraint: 3\nobjective: x\nstart: x=0\n")
@@ -201,6 +279,15 @@ class TestProject:
         code = main(["project", "--problem", curve_file, "--w", "10"])
         assert code == 0
         assert json.loads(capsys.readouterr().out)["success"] is False
+
+
+    @pytest.mark.parametrize(
+        "w, message",
+        [("a", "bad tangent vector 'a'"), ("0.1,0.2", "tangent vector needs 1 components, got 2")],
+    )
+    def test_bad_tangent_vector(self, curve_file, capsys, w, message):
+        assert main(["project", "--problem", curve_file, "--w", w]) == 1
+        assert capsys.readouterr().err == f"error: INVALID_ARGUMENT: {message}\n"
 
 
 class TestGeodesic:

@@ -347,6 +347,40 @@ class TestNumericFailures:
                 DescentConfig(alpha0=0.25, j_max=10),
             )
 
+    def test_non_finite_start_point_is_rejected(self, circle):
+        # the objective x is finite there, so only the start gate stops it
+        f = parse_polynomial("x", circle.order)
+        message = r"start point \[nan, 1.0\] is not finite"
+        with pytest.raises(InvalidStartError, match=message):
+            descend(
+                DescentProblem(circle, f, np.array([math.nan, 1.0])),
+                DescentConfig(alpha0=0.25, j_max=10),
+            )
+
+    def test_non_finite_unconstrained_coordinate_is_rejected(self):
+        # z is in no constraint, so the start residual is finite and every
+        # poll would re-base without ever moving z
+        order = VariableOrder(["u", "x", "z"])
+        sys = validate_triangular([parse_polynomial("u^2 + x^2 - 1", order)], order)
+        part = whitney_partition(sys, eliminate=[])
+        problem = DescentProblem(
+            part, parse_polynomial("u", order), np.array([0.0, 1.0, math.nan])
+        )
+        with pytest.raises(InvalidStartError, match="is not finite"):
+            descend(problem, DescentConfig(alpha0=0.25, j_max=1000))
+
+    def test_non_finite_start_residual_is_rejected(self):
+        # finite coordinates whose residual is inf - inf: A*u*x and A*u*x^2
+        # both overflow at u = 1e10, x = 1
+        big = "1" + "0" * 300
+        part = self._line(f"{big}*u*x - {big}*u*x^2 + x - 1")
+        f = parse_polynomial("x", part.order)
+        with pytest.raises(InvalidStartError, match="start residual nan"):
+            descend(
+                DescentProblem(part, f, np.array([1e10, 1.0])),
+                DescentConfig(alpha0=0.25, j_max=10),
+            )
+
 
 class TestCheckConvergence:
     def _trace(self, records):
@@ -398,6 +432,14 @@ class TestConfigValidation:
         f = parse_polynomial("y", curve3.order)
         with pytest.raises(ValueError, match="start point must have 2"):
             descend(DescentProblem(curve3, f, np.array(start)), DescentConfig(alpha0=0.25))
+
+    def test_zero_dimensional_manifold(self):
+        order = VariableOrder(["u", "x"])
+        polys = [parse_polynomial("u", order), parse_polynomial("x", order)]
+        part = whitney_partition(validate_triangular(polys, order), eliminate=[])
+        problem = DescentProblem(part, parse_polynomial("u", order), np.zeros(2))
+        with pytest.raises(ValueError, match="manifold dimension is zero"):
+            descend(problem, DescentConfig(alpha0=0.25))
 
     def test_alpha_max_cap(self, curve3):
         f = parse_polynomial("y", curve3.order)

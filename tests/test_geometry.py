@@ -129,6 +129,11 @@ class TestProjection:
         assert project_to_manifold(frame, [w]) is None
         assert len(calls) == evaluations
 
+    @pytest.mark.parametrize("field", ["residual_tol", "max_iters", "oracle_radius"])
+    def test_config_must_be_positive(self, field):
+        with pytest.raises(ValueError, match="must be positive"):
+            ProjectionConfig(**{field: 0})
+
     def test_success_respects_radius_and_tol(self, curve3):
         rng = np.random.default_rng(5)
         cfg = ProjectionConfig()
@@ -290,6 +295,11 @@ class TestPullback:
         again = [ftilde(p, warm) for warm in reversed(warms)][::-1]
         for (v1, a1), (v2, a2) in zip(first, again):
             assert v1 == v2 and a1.tobytes() == a2.tobytes()
+
+    def test_objective_over_another_order(self, curve3):
+        f = parse_polynomial("x", VariableOrder(["u", "x"]))
+        with pytest.raises(ValueError, match="different variable order"):
+            PulledBackObjective(f, curve3)
 
     def test_callable_objective(self, curve3):
         ftilde = PulledBackObjective(lambda z: float(z[2] ** 2), curve3)

@@ -109,6 +109,34 @@ class TestEvaluate:
         assert expected == pytest.approx(-0.2304, abs=1e-15)
 
 
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        "names, message",
+        [
+            ([], "variable order must be nonempty"),
+            (["x", "x"], "variable order contains duplicate names"),
+            (["x", "2y"], "invalid variable name '2y'"),
+        ],
+    )
+    def test_bad_variable_order(self, names, message):
+        with pytest.raises(ValueError, match=message):
+            VariableOrder(names)
+
+    def test_arithmetic_across_orders(self):
+        with pytest.raises(ValueError, match="different variable orders"):
+            parse_polynomial("x", UX) + parse_polynomial("x", UXY)
+
+    @pytest.mark.parametrize("var", [-1, 2])
+    def test_derivative_index_out_of_range(self, var):
+        with pytest.raises(ValueError, match=f"variable index {var} out of range"):
+            parse_polynomial("u*x", UX).derivative(var)
+
+    @pytest.mark.parametrize("point", [[1.0], [1.0, 2.0, 3.0]])
+    def test_evaluate_point_of_the_wrong_length(self, point):
+        with pytest.raises(ValueError, match="point length"):
+            parse_polynomial("u*x", UX).evaluate(point)
+
+
 class TestDerivative:
     def test_gradient_entries(self):
         g = parse_polynomial("u^4 + x^2 - 1", UX)

@@ -62,6 +62,16 @@ class TestValidate:
             )
         assert exc.value.name == "x"
 
+    def test_empty_system_rejected(self):
+        # a manifold needs at least one member to cut it out
+        with pytest.raises(ValueError, match="at least one member"):
+            validate_triangular([], VariableOrder(["u", "x"]))
+
+    def test_member_over_another_order(self):
+        g = parse_polynomial("x - u", VariableOrder(["u", "x"]))
+        with pytest.raises(ValueError, match="different variable order"):
+            validate_triangular([g], UXY)
+
 
 class TestPartition:
     def test_two_stage_elimination(self):
@@ -220,12 +230,38 @@ class TestPartition:
             for p in part.g_star:
                 assert not (p.variables() & set(part.eliminated))
 
+    @pytest.mark.parametrize(
+        "eliminate, error, message",
+        [
+            ("everything", ValueError, "unknown elimination mode 'everything'"),
+            ([3], ValueError, "variable index 3 out of range"),
+            ([2, 2], NotEliminableError, "variable 'y' listed twice"),
+        ],
+    )
+    def test_bad_eliminate_argument(self, eliminate, error, message):
+        polys = [parse_polynomial("x^2 - u", UXY), parse_polynomial("y - x", UXY)]
+        with pytest.raises(error, match=message):
+            whitney_partition(validate_triangular(polys, UXY), eliminate)
+
 
 class TestLinearWhitney:
     def test_boundary_k_not_large_enough(self):
         A = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         with pytest.raises(ValueError):
             linear_whitney(A, np.zeros(2), m=1)
+
+    @pytest.mark.parametrize(
+        "A, b, m, message",
+        [
+            (np.ones(3), np.ones(3), 0, "A must be a matrix"),
+            (np.eye(3), np.ones(3), -1, "m must be nonnegative"),
+            (np.eye(3), np.ones(3), 1, r"A must be k x \(m \+ k\)"),
+            (np.eye(3), np.ones(2), 0, "b must have one entry per row of A"),
+        ],
+    )
+    def test_bad_arguments(self, A, b, m, message):
+        with pytest.raises(ValueError, match=message):
+            linear_whitney(A, b, m)
 
     def test_already_triangular(self):
         rng = np.random.default_rng(3)
