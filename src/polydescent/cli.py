@@ -41,7 +41,7 @@ from .geometry import (
     NotRegularError,
     ProjectionConfig,
     project_to_manifold,
-    residuals,
+    residual_norm,
     tangent_frame,
 )
 from .polynomials import (
@@ -221,13 +221,16 @@ def load_problem(
     start = np.array([assignment[order[v]] for v in partition.retained])
 
     if project_start:
-        frame = tangent_frame(partition, start)
-        projected = project_to_manifold(frame, np.zeros(frame.U.shape[1]), cfg)
+        try:
+            frame = tangent_frame(partition, start)
+        except OverflowError:  # a power in the Jacobian left the float range
+            projected = None
+        else:
+            projected = project_to_manifold(frame, np.zeros(frame.U.shape[1]), cfg)
         if projected is None:
-            r = float(np.max(np.abs(residuals(partition, start))))
             raise StartOffManifoldError(
                 f"start point could not be projected onto the manifold "
-                f"(residual {r:.3e})"
+                f"(residual {residual_norm(partition, start):.3e})"
             )
         start = projected
 
@@ -330,7 +333,7 @@ def _cmd_project(args) -> int:
     payload: dict = {"success": point is not None}
     if point is not None:
         payload["point"] = _point_dict(part, part.retained, point)
-        payload["residual"] = float(np.max(np.abs(residuals(part, point))))
+        payload["residual"] = residual_norm(part, point)
         payload["distance_from_tangent"] = float(np.linalg.norm(point - q0))
     _emit(payload, args.report)
     return 0
@@ -347,7 +350,7 @@ def _cmd_geodesic(args) -> int:
         "position": _point_dict(part, part.retained, final.position),
         "velocity": _point_dict(part, part.retained, final.velocity),
         "time": final.time,
-        "residual": float(np.max(np.abs(residuals(part, final.position)))),
+        "residual": residual_norm(part, final.position),
     }
     _emit(payload, args.report)
     return 0

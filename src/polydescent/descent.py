@@ -25,7 +25,7 @@ from .geometry import (
     ProjectionConfig,
     PulledBackObjective,
     project_to_manifold,
-    residuals,
+    residual_norm,
     tangent_frame,
 )
 from .triangular import WhitneyPartition
@@ -144,15 +144,18 @@ def descend(
     ``residual_tol``.  Identical problem and config (seed included)
     reproduce the trace bit for bit.
 
-    Polls are lifted from the accepted lift (the start's, then each
-    success's), which ends as ``final_ambient``; a failed poll never moves
-    the descent to another sheet.  An iteration whose two steps both equal
-    ``w`` is UNSUCCESSFUL without projecting or lifting.  That is exact: the
-    projection is deterministic in the frame and ``w``, so both polls are
-    ``p``, and ``p`` lifted from its accepted lift ``ambient`` gives
-    ``f_current`` or a lift error, never a value below
-    ``f_current - C * alpha^2``.  Float ``==`` is bitwise equality here,
-    because ``w`` never holds -0.0 or NaN.
+    Each poll continues from the accepted point: its chord projection
+    starts at ``p + U (step - w)``, which lies in the same affine set as
+    ``q0 = base + U step`` and is nearer the manifold point there (after a
+    re-base ``p`` is the base and ``w`` is zero, so it is ``q0``), and it is
+    lifted from the accepted lift (the start's, then each success's), which
+    ends as ``final_ambient``; a failed poll never moves the descent to
+    another sheet.  A poll that projects onto ``p`` itself is not accepted:
+    only the lift's rounding could put its value below ``f_current``.  An
+    iteration whose two steps both equal ``w`` is UNSUCCESSFUL without
+    projecting or lifting.  That is exact: both chords would start at ``p``,
+    which is within tolerance, so both polls are ``p``.  Float ``==`` is
+    bitwise equality here, because ``w`` never holds -0.0 or NaN.
     """
     part = problem.partition
     m = part.manifold_dim
@@ -167,7 +170,7 @@ def descend(
         )
     if not np.isfinite(p0).all():
         raise InvalidStartError(f"start point {p0.tolist()} is not finite")
-    r0 = float(np.max(np.abs(residuals(part, p0))))
+    r0 = residual_norm(part, p0)
     if not r0 <= pcfg.residual_tol:
         raise InvalidStartError(
             f"start residual {r0:.3e} exceeds tolerance {pcfg.residual_tol:.3e}"
@@ -203,9 +206,15 @@ def descend(
         if steps[0] == w == steps[1]:
             event = UNSUCCESSFUL  # both polls are p itself
         else:
-            points = [project_to_manifold(frame, step, pcfg) for step in steps]
+            # each chord starts from p moved along the tangent, not from q0
+            starts = [p + frame.U @ np.subtract(step, w) for step in steps]
+            points = [
+                project_to_manifold(frame, step, pcfg, start)
+                for step, start in zip(steps, starts)
+            ]
             if points[0] is None or points[1] is None:
-                if not all(np.isfinite(frame.base + frame.U @ s).all() for s in steps):
+                q0s = [frame.base + frame.U @ s for s in steps]
+                if not np.isfinite([*q0s, *starts]).all():
                     overflowed = True  # the poll started beyond the float range
                 # oracle failure: re-base the tangent frame at the current point
                 frame = tangent_frame(part, p)
@@ -215,6 +224,8 @@ def descend(
                 threshold = f_current - c_forcing * alpha_j * alpha_j
                 event = UNSUCCESSFUL
                 for point, step in zip(points, steps):
+                    if tuple(point.tolist()) == coords:
+                        continue  # only the lift's rounding could make p beat itself
                     try:
                         f_poll, lifted = ftilde(point, ambient)
                     except LiftError:

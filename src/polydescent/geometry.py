@@ -101,6 +101,14 @@ def residuals(part: WhitneyPartition, p) -> np.ndarray:
     return np.array(part.compiled.residuals([float(v) for v in p]))
 
 
+def residual_norm(part: WhitneyPartition, p) -> float:
+    """Largest absolute retained residual at ``p``; inf where a power overflows."""
+    try:
+        return float(np.max(np.abs(residuals(part, p))))
+    except OverflowError:
+        return math.inf
+
+
 def jacobian(part: WhitneyPartition, p) -> np.ndarray:
     """Retained-constraint Jacobian at ``p``, one row per constraint."""
     _check_length(p, part.reduced_dim, "reduced point")
@@ -150,27 +158,35 @@ def tangent_frame(part: WhitneyPartition, p) -> TangentFrame:
 
 
 def project_to_manifold(
-    frame: TangentFrame, w, cfg: ProjectionConfig = DEFAULT_PROJECTION
+    frame: TangentFrame, w, cfg: ProjectionConfig = DEFAULT_PROJECTION, start=None
 ) -> np.ndarray | None:
     """Project the tangent displacement ``w`` back onto the reduced manifold.
 
-    Starting from ``q0 = base + U w``, iterates ``q <- q - N g*(q)`` with the
-    pseudoinverse frozen at the base point.  Returns the on-manifold point,
-    or None when ``w``, ``q0`` or a residual is not finite or overflows, the
-    iteration leaves the ``oracle_radius`` ball around ``q0``, its residual
-    exceeds 1e6 times its first value, or it fails to meet ``residual_tol``
-    within ``max_iters`` updates.  None is the oracle saying the implicit
-    function theorem stopped holding out here, and the caller re-bases.
+    Iterates ``q <- q - N g*(q)`` with the pseudoinverse frozen at the base
+    point, from ``start`` or, without one, from ``q0 = base + U w``.  The
+    iteration moves only within ``q0 + range(N)``, so its fixed point is the
+    manifold point in that affine set; a start in the same set (the accepted
+    point ``p`` plus ``U (w - w_p)``) aims at the same point from nearer.
+    Returns the on-manifold point, or None when ``w``, ``q0``, ``start`` or
+    a residual is not finite or overflows, the iteration leaves the
+    ``oracle_radius`` ball around ``q0``, its residual exceeds 1e6 times the
+    first residual it evaluates (the one at its start), or it fails to meet
+    ``residual_tol`` within ``max_iters`` updates.  None is the oracle
+    saying the implicit function theorem stopped holding out here, and the
+    caller re-bases.
     """
     compiled_residuals = frame.partition.compiled.residuals
     if not all(map(math.isfinite, w)):
         return None  # before numpy warns of it in the product
     q0 = (frame.base + frame.U @ np.asarray(w, dtype=float)).tolist()
-    if not all(map(math.isfinite, q0)):
+    if start is None:
+        q = q0
+    else:
+        _check_length(start, len(q0), "projection start")
+        q = np.asarray(start, dtype=float).tolist()
+    if not all(map(math.isfinite, q0)) or not all(map(math.isfinite, q)):
         return None
-    q = list(q0)
     n_rows = frame.N.tolist()
-    radius_sq = cfg.oracle_radius * cfg.oracle_radius
     r_init = None
     try:
         for n in range(cfg.max_iters + 1):
@@ -184,13 +200,13 @@ def project_to_manifold(
                 r_init = r
             elif r > 1e6 * r_init:
                 return None
-            if sum([(a - b) ** 2 for a, b in zip(q, q0)]) > radius_sq:
+            if math.dist(q, q0) > cfg.oracle_radius:
                 return None
             if n == cfg.max_iters:
                 return None
             q = [qi - sum(map(mul, row, g)) for qi, row in zip(q, n_rows)]
     except OverflowError:
-        pass  # a residual or the distance from q0 left the float range
+        pass  # a power in a residual left the float range
     return None
 
 
@@ -205,16 +221,26 @@ def _horner(coeffs: list[float], y: float) -> float:
 
 
 def _bracketed_newton(
-    coeffs: list[float], dcoeffs: list[float], lo: float, hi: float, fhi_pos: bool
+    coeffs: list[float],
+    dcoeffs: list[float],
+    lo: float,
+    hi: float,
+    fhi_pos: bool,
+    guess: float,
 ) -> float:
     """The root in (lo, hi); the polynomial is positive at ``hi`` iff ``fhi_pos``.
 
-    Newton steps are taken while they stay inside the bracket, falling back
-    to bisection otherwise; the bracket shrinks every iteration.  Stops on an
-    exact zero, on a Newton step below 2e-16 relative, or once no float lies
+    Starts at ``guess`` when it lies strictly inside the bracket (the warm
+    start's value: a continuation step away from the root), else at the
+    midpoint; a NaN guess lies inside none.  Newton steps are taken while
+    they stay inside the bracket, falling back to bisection otherwise; the
+    bracket shrinks every iteration.  Stops on an exact zero, at an iterate
+    whose Newton step is below 2e-16 relative, or once no float lies
     strictly inside the bracket, so there is no iteration cap to run into.
+    The iterate is returned without that last step, so a root the step rule
+    returned is returned again when polished from itself.
     """
-    x = 0.5 * (lo + hi)
+    x = guess if lo < guess < hi else 0.5 * (lo + hi)
     while lo < x < hi:
         f = _horner(coeffs, x)
         if f == 0.0:
@@ -226,15 +252,18 @@ def _bracketed_newton(
         df = _horner(dcoeffs, x)
         step = f / df if df != 0.0 else math.inf
         if abs(step) <= 2e-16 * abs(x):
-            return x - step
+            return x
         x -= step
         if not lo < x < hi:
             x = 0.5 * (lo + hi)
     return x
 
 
-def _real_roots(coeffs: list[float]) -> list[float] | None:
+def _real_roots(coeffs: list[float], guess: float = math.nan) -> list[float] | None:
     """All real roots of odd multiplicity, ascending; None if identically zero.
+
+    Each root in a bracket containing ``guess`` is polished from it (see
+    :func:`_bracketed_newton`); the others from their bracket's midpoint.
 
     The polynomial is monotone between consecutive real roots of its
     derivative, so those roots (found by recursion down to the linear closed
@@ -272,14 +301,15 @@ def _real_roots(coeffs: list[float]) -> list[float] | None:
     roots = [x for x, f in zip(knots, vals) if f == 0.0]
     for lo, hi, flo, fhi in zip(knots, knots[1:], vals, vals[1:]):
         if flo < 0.0 < fhi or fhi < 0.0 < flo:
-            roots.append(_bracketed_newton(coeffs, dcoeffs, lo, hi, fhi > 0.0))
+            roots.append(_bracketed_newton(coeffs, dcoeffs, lo, hi, fhi > 0.0, guess))
     return sorted(roots)
 
 
 @lru_cache(maxsize=256)
 def _critical_points(dcoeffs: tuple[float, ...]) -> tuple[float, ...]:
     # a stage's derivative is often the same at every point (y^5 + c has
-    # 5*y^4 everywhere), so its roots are worth remembering
+    # 5*y^4 everywhere), so its roots are worth remembering; they are found
+    # without a guess, so the coefficients are the whole key
     return tuple(_real_roots(list(dcoeffs)))
 
 
@@ -297,7 +327,8 @@ def _lift_values(part: WhitneyPartition, p, warm) -> list[float]:
     for j, yvar in enumerate(part.eliminated):
         coeffs = compiled.stage_coeffs(j, vals)
         name = part.order[yvar]
-        roots = _real_roots(coeffs)
+        guess = vals[yvar]
+        roots = _real_roots(coeffs, guess)
         if roots is None:
             raise AmbiguousRootError(
                 j, name, "constraint vanishes identically at this point"
@@ -310,7 +341,6 @@ def _lift_values(part: WhitneyPartition, p, warm) -> list[float]:
                 name,
                 f"'{part.g_circ[j]}' has coefficients {coeffs} in {name}",
             )
-        guess = vals[yvar]
         roots.sort(key=lambda r: abs(r - guess))
         if len(roots) > 1 and abs(abs(roots[0] - guess) - abs(roots[1] - guess)) < 1e-9:
             raise AmbiguousRootError(
@@ -333,7 +363,10 @@ def lift(part: WhitneyPartition, p, warm=None) -> np.ndarray:
     values are substituted.  ``warm`` is an ambient point, typically the
     lift the caller accepted; among multiple real roots each stage takes the
     one nearest the warm start's value of its variable (nearest zero without
-    one).  Roots are polished to float precision.  Raises
+    one), and Newton's polish starts from that value where it lies inside a
+    root's bracket.  Roots are polished to float precision; re-lifting a
+    lift from itself returns it unless a stage's root is so ill-conditioned
+    that its polish ended by closing the bracket.  Raises
     :class:`NoRealRootError` / :class:`AmbiguousRootError`,
     ``OverflowError`` when a stage's chosen root is not finite or a stage
     with no real root has a coefficient that is not finite, and

@@ -114,6 +114,17 @@ def random_tower(rng: random.Random, n: int, m: int) -> WhitneyPartition:
     return whitney_partition(validate_triangular(polys, order), "auto")
 
 
+def random_system(rng: random.Random, tower: bool) -> WhitneyPartition:
+    """A random tower with 1-3 free variables, or a random system with a manifold."""
+    while True:
+        if tower:
+            m = rng.randint(1, 3)
+            return random_tower(rng, rng.randint(m + 3, m + 6), m)
+        part = random_partition(rng)
+        if part.manifold_dim >= 1:
+            return part
+
+
 def manifold_start(part: WhitneyPartition, rng: random.Random) -> np.ndarray | None:
     """A random point of the reduced manifold of ``part``, or None.
 

@@ -238,6 +238,17 @@ class TestRun:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: OVERFLOW: ")
 
+    def test_overflowing_start_is_off_the_manifold(self, tmp_path, capsys):
+        # u^2 overflows at the start: the projection fails and the message's
+        # residual reads inf, where it used to raise while being computed
+        path = tmp_path / "huge.problem"
+        path.write_text(CIRCLE_PROBLEM.replace("start: u=0, x=1", "start: u=1e200, x=1"))
+        assert main(["run", "--problem", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: START_OFF_MANIFOLD: start point could not be projected "
+            "onto the manifold (residual inf)\n"
+        )
+
     def test_residual_check_exit(self, tmp_path, capsys):
         # y is the float nearest the root of y^5 - 1e23*x, but at terms of
         # size 1e23 the original constraint cannot hold to 10 * tolerance

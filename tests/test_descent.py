@@ -201,11 +201,11 @@ class TestProcedureLaws:
         emitted = []
         real = descent_mod.project_to_manifold
 
-        def spy(frame, w, cfg):
-            calls.setdefault(len(emitted), []).append(
-                (frame.base.copy(), np.asarray(w, dtype=float).copy())
-            )
-            return real(frame, w, cfg)
+        def spy(frame, w, cfg, start=None):
+            w = np.asarray(w, dtype=float).copy()
+            q0 = frame.base + frame.U @ w
+            calls.setdefault(len(emitted), []).append((frame.base.copy(), w, q0, start.copy()))
+            return real(frame, w, cfg, start)
 
         monkeypatch.setattr(descent_mod, "project_to_manifold", spy)
         f = parse_polynomial("y", curve3.order)
@@ -217,14 +217,37 @@ class TestProcedureLaws:
         assert rebases, "expected at least one oracle failure at alpha0=2"
         for rec in trace.records:
             if rec.event == REBASE and rec.j + 1 < len(trace.records):
-                base_next, w_next = calls[rec.j + 1][0]
+                base_next, w_next, q0_next, start_next = calls[rec.j + 1][0]
                 # next iteration polls from the re-based point with w reset,
-                # so the poll displacement is exactly alpha * u
+                # so the poll displacement is exactly alpha * u and the chord
+                # starts at q0 = base + U w itself
                 assert np.allclose(base_next, rec.coords, atol=0)
+                assert start_next.tobytes() == q0_next.tobytes()
                 next_alpha = trace.records[rec.j + 1].alpha
                 assert np.linalg.norm(w_next) == pytest.approx(
                     next_alpha, abs=1e-15
                 )
+
+    def test_a_poll_onto_the_current_point_is_not_accepted(self):
+        # on x = 0 at u = 1e6 a step of 1e-12 moves w off zero, so it is
+        # polled, but the chord starts at 1e6 + 1e-12 = 1e6, the point
+        # itself.  The objective drops on every evaluation, as a lift's
+        # rounding could: a poll at the current point must still fail
+        order = VariableOrder(["u", "x"])
+        part = whitney_partition(
+            validate_triangular([parse_polynomial("x", order)], order), eliminate=[]
+        )
+        evaluations = []
+
+        def f(z):
+            evaluations.append(z)
+            return -float(len(evaluations))
+
+        cfg = DescentConfig(alpha0=1e-12, j_max=20, seed=0)
+        trace = descend(DescentProblem(part, f, np.array([1e6, 0.0])), cfg)
+        assert {r.event for r in trace.records} == {UNSUCCESSFUL}
+        assert {r.coords for r in trace.records} == {(1e6, 0.0)}
+        assert len(evaluations) == 1  # the start only
 
     def test_lift_failures_are_unsuccessful_polls(self):
         # the lift has no real solution past x = 1; polls there must fail
@@ -254,14 +277,17 @@ class TestNumericFailures:
         return whitney_partition(sys, "auto")
 
     def test_overflowing_objective_fails_the_poll(self):
-        # -u^3 keeps doubling its step along x = u until u^3 leaves the
-        # float range, 1,052 iterations in
+        # -u^3 keeps doubling its step along x = u, re-basing where the
+        # absolute tolerance cannot be met at this scale, until u^3 leaves
+        # the float range 1,564 iterations in: the first failed poll
         part = self._line("x - u")
         f = parse_polynomial("-u^3", part.order)
-        cfg = DescentConfig(alpha0=0.25, j_max=1200, seed=0)
+        cfg = DescentConfig(alpha0=0.25, j_max=1600, seed=0)
         trace = descend(DescentProblem(part, f, np.zeros(2)), cfg)
-        assert trace.iterations == 1200
-        assert trace.records[1052].event == UNSUCCESSFUL
+        assert trace.iterations == 1600
+        events = [r.event for r in trace.records]
+        assert UNSUCCESSFUL not in events[:1564]
+        assert events[1564] == UNSUCCESSFUL
         assert all(math.isfinite(r.f) for r in trace.records)
 
     def test_overflow_after_the_last_acceptance_is_not_convergence(self):
@@ -269,7 +295,7 @@ class TestNumericFailures:
         # -1.797e308, then every poll overflows and the step dies down
         part = self._line("x - u")
         f = parse_polynomial("-u^3", part.order)
-        cfg = DescentConfig(alpha0=0.25, j_max=2000, seed=0)
+        cfg = DescentConfig(alpha0=0.25, j_max=2500, seed=0)
         trace = descend(DescentProblem(part, f, np.zeros(2)), cfg)
         assert trace.final_objective < -1e308
         assert check_convergence(trace, window=500)
@@ -368,6 +394,16 @@ class TestNumericFailures:
         )
         with pytest.raises(InvalidStartError, match="is not finite"):
             descend(problem, DescentConfig(alpha0=0.25, j_max=1000))
+
+    def test_overflowing_start_residual_is_rejected(self, circle):
+        # u^2 leaves the float range at u = 1e200: the start gate rejects it
+        # instead of letting the OverflowError escape
+        f = parse_polynomial("x", circle.order)
+        with pytest.raises(InvalidStartError, match="start residual inf"):
+            descend(
+                DescentProblem(circle, f, np.array([1e200, 1.0])),
+                DescentConfig(alpha0=0.25, j_max=10),
+            )
 
     def test_non_finite_start_residual_is_rejected(self):
         # finite coordinates whose residual is inf - inf: A*u*x and A*u*x^2

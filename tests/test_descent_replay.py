@@ -14,7 +14,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import polydescent.descent as descent_mod
-from conftest import manifold_start, random_partition, random_polynomial, random_tower
+from conftest import manifold_start, random_polynomial, random_system
 from polydescent.descent import (
     REBASE,
     SUCCESS,
@@ -50,9 +50,11 @@ from polydescent.triangular import validate_triangular, whitney_partition
 def reference_descend(problem: DescentProblem, cfg: DescentConfig) -> DescentTrace:
     """The polling loop without the replay: every iteration projects and lifts.
 
-    Each poll is lifted from the accepted lift.  Starts are assumed valid.
-    A run whose polls overflowed, went non-finite or started beyond the
-    float range after its last acceptance does not count as converged.
+    Each poll's projection starts from the accepted point moved along the
+    tangent, ``p + U (step - w)``, and each poll is lifted from the accepted
+    lift unless it projects onto ``p``.  Starts are assumed valid.  A run whose polls overflowed, went
+    non-finite or started beyond the float range after its last acceptance
+    does not count as converged.
     """
     part, pcfg = problem.partition, cfg.projection
     m = part.manifold_dim
@@ -70,10 +72,14 @@ def reference_descend(problem: DescentProblem, cfg: DescentConfig) -> DescentTra
         alpha_j = alpha
         u = random_unit_direction(rng, m)
         steps = (w + alpha_j * u, w - alpha_j * u)
-        points = [project_to_manifold(frame, step, pcfg) for step in steps]
+        starts = [p + frame.U @ (step - w) for step in steps]
+        points = [
+            project_to_manifold(frame, step, pcfg, start) for step, start in zip(steps, starts)
+        ]
         alpha = 0.5 * alpha_j
         if points[0] is None or points[1] is None:
-            if not all(np.isfinite(frame.base + frame.U @ s).all() for s in steps):
+            q0s = [frame.base + frame.U @ s for s in steps]
+            if not all(np.isfinite(q).all() for q in q0s + starts):
                 overflowed = True
             frame = tangent_frame(part, p)
             w = np.zeros(m)
@@ -82,6 +88,8 @@ def reference_descend(problem: DescentProblem, cfg: DescentConfig) -> DescentTra
             threshold = f_current - c_forcing * alpha_j * alpha_j
             event = UNSUCCESSFUL
             for point, step in zip(points, steps):
+                if np.array_equal(point, p):
+                    continue
                 try:
                     f_poll, lifted = ftilde(point, ambient)
                 except LiftError:
@@ -137,16 +145,12 @@ def random_problem(rng: random.Random, tower: bool) -> DescentProblem:
     ambient variable; other systems take a random polynomial.
     """
     while True:
+        part = random_system(rng, tower)
         if tower:
-            m = rng.randint(1, 3)
-            part = random_tower(rng, rng.randint(m + 3, m + 6), m)
             objective = Polynomial(
                 part.order, {Monomial.of({v: 2}): Fraction(1) for v in range(len(part.order))}
             )
         else:
-            part = random_partition(rng)
-            if part.manifold_dim < 1:
-                continue
             objective = random_polynomial(rng, part.order)
         start = manifold_start(part, rng)
         if start is None or float(np.max(np.abs(residuals(part, start)))) > 1e-10:
@@ -167,9 +171,9 @@ def count_projections(monkeypatch) -> list:
     """
     calls = []
 
-    def spy(frame, w, cfg):
+    def spy(frame, w, cfg, start=None):
         calls.append(np.asarray(w, dtype=float).copy())
-        return project_to_manifold(frame, w, cfg)
+        return project_to_manifold(frame, w, cfg, start)
 
     monkeypatch.setattr(descent_mod, "project_to_manifold", spy)
     return calls

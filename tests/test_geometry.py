@@ -1,9 +1,17 @@
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import curve3_height, curve3_point, quartic4_originals
+from conftest import (
+    curve3_height,
+    curve3_point,
+    manifold_start,
+    quartic4_originals,
+    random_system,
+)
 from polydescent.geometry import (
     AmbiguousRootError,
     NoRealRootError,
@@ -13,6 +21,7 @@ from polydescent.geometry import (
     jacobian,
     lift,
     project_to_manifold,
+    residual_norm,
     residuals,
     tangent_frame,
 )
@@ -101,17 +110,63 @@ class TestProjection:
         cfg = ProjectionConfig(oracle_radius=1e300, max_iters=10**6)
         assert project_to_manifold(frame, [10.0], cfg) is None
 
-    @pytest.mark.parametrize(
-        "constraint, w",
-        [("x - u^4", 1e100), ("10*x - 7*u", 1e200)],
-        ids=["residual", "distance"],
-    )
+    @pytest.mark.parametrize("constraint, w", [("x - u^4", 1e100)], ids=["residual"])
     def test_overflow_fails(self, constraint, w):
-        # u^4 overflows in the first residual; the line's first chord step
-        # is about 1e184 long, and its square overflows
+        # u^4 overflows in the first residual
         frame = tangent_frame(_partition(["u", "x"], [constraint]), [0.0, 0.0])
         cfg = ProjectionConfig(oracle_radius=math.inf)
         assert project_to_manifold(frame, [w], cfg) is None
+
+    def test_distance_from_q0_cannot_overflow(self):
+        # a start 1e160 from q0 = 0: its squared distance would overflow, but
+        # with no radius the chord lands on the line x = 0 in one step
+        frame = tangent_frame(_partition(["u", "x"], ["x"]), [0.0, 0.0])
+        cfg = ProjectionConfig(oracle_radius=math.inf)
+        q = project_to_manifold(frame, [0.0], cfg, start=[0.0, 1e160])
+        assert q.tolist() == [0.0, 0.0]
+
+    def test_oracle_ball_is_centred_on_q0(self):
+        # on x = u^2 the chord from q0 = (0.8, 0) moves along x only and
+        # lands on (0.8, 0.64).  A start at (0.8, 0.7) is 0.06 from that
+        # point but 0.7 from q0, outside the ball around q0
+        part = _partition(["u", "x"], ["x - u^2"])
+        frame = tangent_frame(part, [0.0, 0.0])
+        w = [0.8 * frame.U[0, 0]]
+        cold = project_to_manifold(frame, w)
+        assert cold.tolist() == pytest.approx([0.8, 0.64], abs=1e-15)
+        assert project_to_manifold(frame, w, start=[0.8, 0.7]) is None
+        wide = ProjectionConfig(oracle_radius=1.0)
+        warm = project_to_manifold(frame, w, wide, start=[0.8, 0.7])
+        assert warm.tolist() == pytest.approx(cold.tolist(), abs=1e-15)
+
+    def test_divergence_is_measured_from_the_start(self, monkeypatch):
+        # on x^3 + x = u the frozen chord map multiplies the error by -1.5
+        # per step near (2, 1), so from a start 1e-9 off that point it
+        # diverges.  It gives up once the residual passes 1e6 times the
+        # residual at its start, long before 1e6 times the one at q0
+        part = _partition(["u", "x"], ["x^3 + x - u"])
+        frame = tangent_frame(part, [0.0, 0.0])
+        # q0 = (1.5, 1.5); (2, 1) lies in q0 + range(N), 0.71 from q0
+        w = [float(frame.U[:, 0] @ [1.5, 1.5])]
+        cfg = ProjectionConfig(oracle_radius=1.0)
+        seen = []
+        real = part.compiled.residuals
+        monkeypatch.setattr(
+            part.compiled, "residuals", lambda q: seen.append(max(map(abs, real(q)))) or real(q)
+        )
+        assert project_to_manifold(frame, w, cfg, start=[2.0 + 1e-9, 1.0 - 1e-9]) is None
+        r_start, r_q0 = seen[0], max(map(abs, real([1.5, 1.5])))
+        assert max(seen[:-1]) <= 1e6 * r_start < seen[-1] < 1e6 * r_q0
+        assert len(seen) < cfg.max_iters
+
+    def test_non_finite_start_fails_at_once(self, circle, monkeypatch):
+        frame = tangent_frame(circle, [0.0, 1.0])
+        calls = []
+        real = circle.compiled.residuals
+        monkeypatch.setattr(circle.compiled, "residuals", lambda q: calls.append(q) or real(q))
+        for start in ([math.nan, 1.0], [0.0, math.inf]):
+            assert project_to_manifold(frame, [0.1], start=start) is None
+        assert calls == []
 
     @pytest.mark.parametrize(
         "constraint, w, evaluations",
@@ -254,6 +309,12 @@ class TestWrongLength:
         with pytest.raises(ValueError, match="warm start has"):
             lift(curve3, curve3_point(0.6), warm=warm)
 
+    @pytest.mark.parametrize("start", [[0.6], [0.6, 0.8, 0.0]])
+    def test_projection_start(self, curve3, start):
+        frame = tangent_frame(curve3, curve3_point(0.6))
+        with pytest.raises(ValueError, match="projection start has"):
+            project_to_manifold(frame, [0.0], start=start)
+
 
 class TestPullback:
     def test_height_objective(self, curve3):
@@ -305,3 +366,61 @@ class TestPullback:
         ftilde = PulledBackObjective(lambda z: float(z[2] ** 2), curve3)
         value, _ = ftilde(np.array([1.0, 0.0]))
         assert value == pytest.approx(1.0, abs=1e-12)
+
+
+# -- warm-started projection ------------------------------------------------------
+
+
+def _random_frame(rng: random.Random):
+    """The tangent frame at a regular point of a random tower or system."""
+    while True:
+        part = random_system(rng, rng.random() < 0.5)
+        base = manifold_start(part, rng)
+        if base is None or residual_norm(part, base) > 1e-10:
+            continue
+        try:
+            return tangent_frame(part, base)
+        except NotRegularError:
+            continue
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_warm_and_cold_projections_land_on_one_point(seed):
+    """The chord from q0 and the chord from ``p + U (step - w)`` agree.
+
+    ``p`` is the projection of ``w``, as after a success.  Both results lie
+    in ``q0 + range(N)`` with residuals within ``residual_tol``, so to first
+    order they differ by at most ``2 sqrt(k) residual_tol |N (J N)^-1|``,
+    with J the Jacobian at the cold result and k its rows; ``4 eps |q|``
+    covers the rounding of the two starts.  Where only one start meets the
+    iteration cap both are retried without it in reach.  The cold chord may
+    still fail alone, leaving the ball around q0 that the nearer start stays
+    in; the warm one may not.
+    """
+    rng = random.Random(seed)
+    frame = _random_frame(rng)
+    part, m = frame.partition, frame.U.shape[1]
+    cfg, roomy = ProjectionConfig(), ProjectionConfig(max_iters=5000)
+    for _ in range(10):
+        scale = rng.choice((1e-3, 1e-2, 0.1, 0.3))
+        w = np.array([rng.gauss(0.0, scale) for _ in range(m)])
+        p = project_to_manifold(frame, w, cfg)
+        if p is None:
+            continue
+        step = w + np.array([rng.gauss(0.0, scale) for _ in range(m)])
+        start = p + frame.U @ (step - w)
+        cold = project_to_manifold(frame, step, cfg)
+        warm = project_to_manifold(frame, step, cfg, start)
+        if (cold is None) != (warm is None):
+            cold = project_to_manifold(frame, step, roomy)
+            warm = project_to_manifold(frame, step, roomy, start)
+        if cold is None:
+            continue
+        assert warm is not None
+        JN = jacobian(part, cold) @ frame.N
+        bound = 2 * math.sqrt(len(JN)) * cfg.residual_tol * np.linalg.norm(
+            frame.N @ np.linalg.inv(JN), 2
+        )
+        bound += 4 * np.finfo(float).eps * float(np.max(np.abs(cold)))
+        assert np.linalg.norm(warm - cold) <= bound

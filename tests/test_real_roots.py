@@ -5,11 +5,21 @@ import random
 import sys
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial.polynomial import polymul
 
+from conftest import manifold_start, random_system, random_tower
 from polydescent import geometry
-from polydescent.geometry import _critical_points, _real_roots
+from polydescent.geometry import (
+    LiftError,
+    NotRegularError,
+    _critical_points,
+    _real_roots,
+    lift,
+    project_to_manifold,
+    tangent_frame,
+)
 
 EPS = sys.float_info.epsilon
 
@@ -81,3 +91,97 @@ def test_polish_starts_near_a_far_root(monkeypatch):
     roots = _real_roots([1e90, 0.0, 0.0, 1.0])
     assert len(roots) == 1 and abs(roots[0] / -1e30 - 1.0) <= 4 * EPS
     assert len(calls) <= 20
+
+
+# -- warm-started polish --------------------------------------------------------
+
+
+def _stage_polynomials(rng: random.Random) -> list[tuple[list[float], float]]:
+    """(coefficients, warm value) of each lift stage at a point near a start.
+
+    The start lies on the manifold of a random tower or system; the point
+    is a small projected step away and is lifted from the start's lift,
+    whose values are the warm values, as in a descent's poll.
+    """
+    while True:
+        part = random_system(rng, rng.random() < 0.5)
+        start = manifold_start(part, rng)
+        if start is None:
+            continue
+        try:
+            frame = tangent_frame(part, start)
+            warm = lift(part, start)
+            w = [rng.gauss(0.0, 0.05) for _ in range(part.manifold_dim)]
+            p = project_to_manifold(frame, w)
+            vals = None if p is None else lift(part, p, warm=warm).tolist()
+        except (LiftError, NotRegularError, OverflowError):
+            continue
+        if vals is None:
+            continue
+        return [
+            (part.compiled.stage_coeffs(j, vals), float(warm[y]))
+            for j, y in enumerate(part.eliminated)
+        ]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_a_guess_moves_roots_by_a_few_ulps_at_most(seed):
+    # each polish stops at an iterate whose Newton step is below 2e-16
+    # relative, under 2 ulps from the root to first order, so the polish
+    # from a guess and the one from the midpoint end within 4 ulps
+    for coeffs, guess in _stage_polynomials(random.Random(seed)):
+        cold, warm = _real_roots(coeffs), _real_roots(coeffs, guess)
+        assert len(warm) == len(cold)
+        for a, b in zip(cold, warm):
+            assert abs(a - b) <= 4 * math.ulp(max(abs(a), abs(b)))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_a_guess_outside_every_bracket_changes_nothing(seed):
+    # beyond the root bound, infinite or NaN, the guess lies strictly inside
+    # no bracket, so every polish starts at its midpoint as without one
+    for coeffs, _ in _stage_polynomials(random.Random(seed)):
+        cold = [r.hex() for r in _real_roots(coeffs)]
+        for guess in (math.nan, math.inf, -math.inf, 1e300, -1e300):
+            assert [r.hex() for r in _real_roots(coeffs, guess)] == cold
+
+
+def test_a_polish_from_its_own_root_returns_it():
+    # the returned iterate meets the stopping rule, so polishing again from
+    # it stops at once: re-lifting an accepted lift returns it bit for bit
+    rng = random.Random(11)
+    for _ in range(20):
+        for coeffs, _ in _stage_polynomials(rng):
+            for r in _real_roots(coeffs):
+                assert r in _real_roots(coeffs, r)
+
+
+def test_a_warm_tower_lift_evaluates_less(monkeypatch):
+    # polls 0.02 from the start of a 12-variable tower, each lifted from the
+    # start's lift: polishing from the warm values takes about a third fewer
+    # evaluations than from the bracket midpoints (the guess withheld)
+    rng = random.Random(0)
+    part = random_tower(rng, 12, 2)
+    start = manifold_start(part, rng)
+    frame = tangent_frame(part, start)
+    warm = lift(part, start)  # also fills the critical-point cache
+    steps = [[rng.gauss(0.0, 0.02) for _ in range(2)] for _ in range(20)]
+    points = [project_to_manifold(frame, w) for w in steps]
+
+    calls = []
+    horner = geometry._horner
+    monkeypatch.setattr(geometry, "_horner", lambda c, y: calls.append(y) or horner(c, y))
+
+    def evaluations():
+        calls.clear()
+        lifts = [lift(part, p, warm=warm) for p in points]
+        return len(calls), lifts
+
+    guided, lifts = evaluations()
+    monkeypatch.setattr(geometry, "_real_roots", lambda coeffs, guess: _real_roots(coeffs))
+    withheld, cold_lifts = evaluations()
+    assert guided < 0.8 * withheld
+    for a, b in zip(lifts, cold_lifts):
+        assert np.allclose(a, b, rtol=8 * EPS, atol=0)
