@@ -124,8 +124,10 @@ def load_problem(
 
     A fault in the file raises :class:`ProblemFileError` with its line.  The
     start assigns each retained variable once, to a finite number, and is
-    projected onto the reduced manifold (unless ``project_start`` is false);
-    a start outside the projection's reach raises :class:`StartOffManifoldError`.
+    projected onto the reduced manifold (unless ``project_start`` is false):
+    a start whose Jacobian is singular or not finite raises
+    :class:`NotRegularError`, one outside the projection's reach
+    :class:`StartOffManifoldError`.
     """
     with open(path, "r", encoding="utf-8") as fh:
         raw_lines = fh.readlines()
@@ -221,12 +223,8 @@ def load_problem(
     start = np.array([assignment[order[v]] for v in partition.retained])
 
     if project_start:
-        try:
-            frame = tangent_frame(partition, start)
-        except OverflowError:  # a power in the Jacobian left the float range
-            projected = None
-        else:
-            projected = project_to_manifold(frame, np.zeros(frame.U.shape[1]), cfg)
+        frame = tangent_frame(partition, start)
+        projected = project_to_manifold(frame, np.zeros(frame.U.shape[1]), cfg)
         if projected is None:
             raise StartOffManifoldError(
                 f"start point could not be projected onto the manifold "
@@ -319,6 +317,8 @@ def _parse_vector(text: str, expected: int, what: str) -> np.ndarray:
         raise ValueError(f"bad {what} '{text}'") from exc
     if vec.size != expected:
         raise ValueError(f"{what} needs {expected} components, got {vec.size}")
+    if not np.isfinite(vec).all():
+        raise ValueError(f"{what} '{text}' is not finite")
     return vec
 
 

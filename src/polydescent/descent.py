@@ -47,7 +47,8 @@ class DescentConfig:
     and doubles after a success, never beyond ``alpha_max`` or the largest
     float.  ``c_forcing`` is the C in the sufficient-decrease threshold
     C * alpha^2; left as None it is chosen as 1e-4 * (1 + |f at the start|)
-    so the threshold is meaningful across objective scales.
+    so the threshold is meaningful across objective scales.  ``alpha0`` and
+    ``c_forcing`` must be positive and finite.
     """
 
     alpha0: float
@@ -58,10 +59,10 @@ class DescentConfig:
     projection: ProjectionConfig = DEFAULT_PROJECTION
 
     def __post_init__(self):
-        if not 0 < self.alpha0 <= self.alpha_max:
-            raise ValueError("need 0 < alpha0 <= alpha_max")
-        if self.c_forcing is not None and self.c_forcing <= 0:
-            raise ValueError("c_forcing must be positive")
+        if not (0 < self.alpha0 < math.inf and self.alpha0 <= self.alpha_max):
+            raise ValueError("need 0 < alpha0 <= alpha_max with alpha0 finite")
+        if self.c_forcing is not None and not 0 < self.c_forcing < math.inf:
+            raise ValueError("c_forcing must be positive and finite")
         if self.j_max < 0:
             raise ValueError("j_max must be nonnegative")
         if self.seed < 0:
@@ -153,9 +154,9 @@ def descend(
     another sheet.  A poll that projects onto ``p`` itself is not accepted:
     only the lift's rounding could put its value below ``f_current``.  An
     iteration whose two steps both equal ``w`` is UNSUCCESSFUL without
-    projecting or lifting.  That is exact: both chords would start at ``p``,
-    which is within tolerance, so both polls are ``p``.  Float ``==`` is
-    bitwise equality here, because ``w`` never holds -0.0 or NaN.
+    projecting or lifting.  That is exact under float ``==``: both chords
+    would start at ``p`` (a step equal to ``w`` up to a signed zero too),
+    which is within tolerance, so both polls are ``p`` and are skipped.
     """
     part = problem.partition
     m = part.manifold_dim
@@ -187,9 +188,7 @@ def descend(
     rng = np.random.default_rng(cfg.seed)
     # loop state: the accepted point, its value, lift (the warm start) and
     # coordinates; the offset w from the frame's base; the step size; whether
-    # a poll overflowed since the last acceptance.  w starts at +0.0 and takes
-    # only finite accepted steps, and round-to-nearest addition gives -0.0 only
-    # from a -0.0 operand, so w never holds -0.0 or NaN: == on it is bitwise
+    # a poll overflowed since the last acceptance
     p, f_current = p0, f0
     coords = tuple(p.tolist())
     w = [0.0] * m

@@ -41,10 +41,11 @@ def christoffel(part: WhitneyPartition, p) -> np.ndarray:
     Hessian, summing over the constraint index; the result is symmetric in
     the last two slots because mixed partials commute.  Raises
     :class:`~polydescent.geometry.NotRegularError` where the Jacobian
-    loses rank.
+    loses rank or is not finite.
     """
-    _, pinv, _ = regular_pinv(part, p)
-    H = part.compiled.hessians([float(v) for v in p])
+    vals = [float(v) for v in p]
+    pinv, _ = regular_pinv(part, vals)
+    H = part.compiled.hessians(vals)
     return np.einsum("ic,cjk->ijk", pinv, H)
 
 
@@ -66,14 +67,19 @@ def geodesic_integrate(
     ``step`` is the step magnitude; negative duration integrates backwards.
     The final position is projected back onto the manifold from a frame at
     the raw endpoint (``project=False`` returns the raw endpoint, useful for
-    measuring integrator drift).  Raises :class:`DivergedError` if the speed
-    grows a thousandfold, and propagates :class:`NotRegularError` from any
-    stage.
+    measuring integrator drift).  Raises ``ValueError`` unless ``step`` is
+    positive and finite and ``duration`` and the velocity are finite,
+    :class:`DivergedError` if the speed grows a thousandfold or stops being
+    a number, and propagates :class:`NotRegularError` from any stage.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not 0 < step < math.inf:
+        raise ValueError(f"step must be a positive finite number, got {step}")
+    if not math.isfinite(duration):
+        raise ValueError(f"duration must be finite, got {duration}")
     z = np.asarray(state0.position, dtype=float).copy()
     v = np.asarray(state0.velocity, dtype=float).copy()
+    if not np.isfinite(v).all():
+        raise ValueError(f"velocity {v.tolist()} is not finite")
     if duration == 0:
         return GeodesicState(z, v, state0.time)
 
@@ -87,7 +93,7 @@ def geodesic_integrate(
         k4z, k4v = v + h * k3v, _acceleration(part, z + h * k3z, v + h * k3v)
         z = z + (h / 6.0) * (k1z + 2 * k2z + 2 * k3z + k4z)
         v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        if v0 > 0 and math.sqrt(float(v @ v)) > 1e3 * v0:
+        if not math.sqrt(float(v @ v)) <= 1e3 * v0:
             raise DivergedError("velocity grew by more than 1e3x")
 
     if not project:

@@ -65,8 +65,9 @@ class ProjectionConfig:
     oracle_radius: float = 0.5
 
     def __post_init__(self):
-        if not (self.residual_tol > 0 and self.max_iters > 0 and self.oracle_radius > 0):
-            raise ValueError("all projection parameters must be positive")
+        positive = self.max_iters > 0 and self.oracle_radius > 0
+        if not (positive and 0 < self.residual_tol < math.inf):
+            raise ValueError("all projection parameters must be positive, residual_tol finite")
 
 
 DEFAULT_PROJECTION = ProjectionConfig()
@@ -102,11 +103,8 @@ def residuals(part: WhitneyPartition, p) -> np.ndarray:
 
 
 def residual_norm(part: WhitneyPartition, p) -> float:
-    """Largest absolute retained residual at ``p``; inf where a power overflows."""
-    try:
-        return float(np.max(np.abs(residuals(part, p))))
-    except OverflowError:
-        return math.inf
+    """Largest absolute retained residual at ``p``; inf or nan past the float range."""
+    return float(np.max(np.abs(residuals(part, p))))
 
 
 def jacobian(part: WhitneyPartition, p) -> np.ndarray:
@@ -115,14 +113,16 @@ def jacobian(part: WhitneyPartition, p) -> np.ndarray:
     return part.compiled.jacobian([float(v) for v in p])
 
 
-def regular_pinv(part: WhitneyPartition, p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Jacobian, pseudoinverse, orthonormal null basis) at ``p``, from one SVD.
+def regular_pinv(part: WhitneyPartition, p) -> tuple[np.ndarray, np.ndarray]:
+    """(pseudoinverse, orthonormal null basis) of the Jacobian at ``p``, from one SVD.
 
     Singular values at or below ``max(J.shape) * eps * s_max`` count as zero.
-    Raises :class:`NotRegularError` when the Jacobian's numerical rank is
-    below the number of retained constraints.
+    Raises :class:`NotRegularError` when the Jacobian is not finite or its
+    numerical rank is below the number of retained constraints.
     """
     J = jacobian(part, p)
+    if not all(map(math.isfinite, J.ravel().tolist())):
+        raise NotRegularError(f"Jacobian at {np.asarray(p).tolist()} is not finite")
     u, s, vt = np.linalg.svd(J, full_matrices=True)
     cutoff = max(J.shape) * np.finfo(float).eps * s[0]
     rank = int(np.sum(s > cutoff))
@@ -131,26 +131,17 @@ def regular_pinv(part: WhitneyPartition, p) -> tuple[np.ndarray, np.ndarray, np.
             f"Jacobian rank {rank} < {len(part.g_star)} at {np.asarray(p).tolist()}"
         )
     pinv = vt[:rank].T @ ((u[:, :rank] / s[:rank]).T)
-    return J, pinv, vt[rank:].T
+    return pinv, vt[rank:].T
 
 
 def tangent_frame(part: WhitneyPartition, p) -> TangentFrame:
     """Orthonormal tangent basis and Jacobian pseudoinverse at ``p``.
 
-    Raises :class:`NotRegularError` when the Jacobian's numerical rank is
-    below the number of retained constraints.
+    Raises :class:`NotRegularError` when the Jacobian is not finite or its
+    numerical rank is below the number of retained constraints.
     """
     base = np.asarray(p, dtype=float).copy()
-    J, pinv, null = regular_pinv(part, base)
-    if null.size:
-        m = null.shape[1]
-        orth = float(np.max(np.abs(null.T @ null - np.eye(m))))
-        tang = float(np.max(np.abs(J @ null)))
-        if orth > 1e-12 or tang > 1e-10 * (1.0 + float(np.max(np.abs(J)))):
-            raise RuntimeError(
-                f"tangent frame failed its invariants (orth {orth:.2e}, "
-                f"tangency {tang:.2e})"
-            )
+    pinv, null = regular_pinv(part, base)
     return TangentFrame(part, base, null, pinv)
 
 
@@ -168,7 +159,7 @@ def project_to_manifold(
     manifold point in that affine set; a start in the same set (the accepted
     point ``p`` plus ``U (w - w_p)``) aims at the same point from nearer.
     Returns the on-manifold point, or None when ``w``, ``q0``, ``start`` or
-    a residual is not finite or overflows, the iteration leaves the
+    a residual is not finite, the iteration leaves the
     ``oracle_radius`` ball around ``q0``, its residual exceeds 1e6 times the
     first residual it evaluates (the one at its start), or it fails to meet
     ``residual_tol`` within ``max_iters`` updates.  None is the oracle
@@ -188,26 +179,22 @@ def project_to_manifold(
         return None
     n_rows = frame.N.tolist()
     r_init = None
-    try:
-        for n in range(cfg.max_iters + 1):
-            g = compiled_residuals(q)
-            if not all(map(math.isfinite, g)):
-                return None
-            r = max(map(abs, g))
-            if r <= cfg.residual_tol:
-                return np.array(q)
-            if r_init is None:
-                r_init = r
-            elif r > 1e6 * r_init:
-                return None
-            if math.dist(q, q0) > cfg.oracle_radius:
-                return None
-            if n == cfg.max_iters:
-                return None
-            q = [qi - sum(map(mul, row, g)) for qi, row in zip(q, n_rows)]
-    except OverflowError:
-        pass  # a power in a residual left the float range
-    return None
+    for n in range(cfg.max_iters + 1):
+        g = compiled_residuals(q)
+        if not all(map(math.isfinite, g)):
+            return None
+        r = max(map(abs, g))
+        if r <= cfg.residual_tol:
+            return np.array(q)
+        if r_init is None:
+            r_init = r
+        elif r > 1e6 * r_init:
+            return None
+        if math.dist(q, q0) > cfg.oracle_radius:
+            return None
+        if n == cfg.max_iters:
+            return None
+        q = [qi - sum(map(mul, row, g)) for qi, row in zip(q, n_rows)]
 
 
 # -- univariate real roots for the lift ---------------------------------------
@@ -386,7 +373,8 @@ class PulledBackObjective:
     returns ``(value, ambient)``.  It keeps no state: a caller stays on one
     sheet by passing the lift it accepted.  Raises
     :class:`LiftError` when the lift fails and ``OverflowError`` when a
-    power leaves the float range.
+    stage leaves the float range; a polynomial objective past the float
+    range reads inf or nan.
     """
 
     def __init__(self, objective, part: WhitneyPartition):

@@ -13,6 +13,7 @@ form round-trips through :func:`parse_polynomial`.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,13 +51,17 @@ Terms = list[tuple[float, tuple[tuple[int, int], ...]]]
 def eval_terms(terms: Terms, vals: Sequence[float]) -> float:
     """Value of a compiled term table at ``vals``, indexed as it was compiled.
 
-    Terms are evaluated independently and summed in table order.  A power
-    past the float range raises ``OverflowError``; other overflow gives inf.
+    Terms are evaluated independently and summed in table order.  Nothing
+    raises: a power past the float range counts as the signed infinity that
+    an overflowing product or sum gives, so such a value reads inf or nan.
     """
     total = 0.0
     for c, facs in terms:
         for i, e in facs:
-            c *= vals[i] ** e
+            try:
+                c *= vals[i] ** e
+            except OverflowError:
+                c *= math.copysign(math.inf, vals[i]) ** e
         total += c
     return total
 
@@ -274,7 +279,7 @@ class Polynomial:
         """Floating-point value at ``point`` (one value per variable, in order)."""
         if len(point) != len(self.order):
             raise ValueError("point length does not match variable order")
-        return eval_terms(self.compile(), point)
+        return eval_terms(self.compile(), [float(v) for v in point])
 
     # -- canonical text ---------------------------------------------------
 

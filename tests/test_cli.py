@@ -249,6 +249,56 @@ class TestRun:
             "onto the manifold (residual inf)\n"
         )
 
+    @pytest.mark.parametrize(
+        "constraint, objective, start, message",
+        [
+            # dg/du = -2e309 overflows in a product
+            (
+                "x - 1" + "0" * 300 + "*u^2",
+                "u",
+                "u=1e9, x=1",
+                "NOT_REGULAR: Jacobian at [1000000000.0, 1.0] is not finite",
+            ),
+            # dg/du = 3e400 overflows in a power
+            (
+                "u^3 + x^2 - 1",
+                "u",
+                "u=1e200, x=1",
+                "NOT_REGULAR: Jacobian at [1e+200, 1.0] is not finite",
+            ),
+            ("x - u", "u^400", "u=10, x=10", "INVALID_START: objective at the start is inf"),
+        ],
+        ids=["jacobian-product", "jacobian-power", "objective-power"],
+    )
+    def test_start_beyond_the_float_range(
+        self, tmp_path, capsys, constraint, objective, start, message
+    ):
+        path = tmp_path / "huge.problem"
+        path.write_text(
+            f"vars: u x\nconstraint: {constraint}\nobjective: {objective}\nstart: {start}\n"
+        )
+        assert main(["run", "--problem", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--c-forcing", "nan"], "c_forcing must be positive and finite"),
+            (["--c-forcing", "inf"], "c_forcing must be positive and finite"),
+            (["--alpha0", "inf"], "need 0 < alpha0 <= alpha_max with alpha0 finite"),
+            (
+                ["--proj-tol", "inf"],
+                "all projection parameters must be positive, residual_tol finite",
+            ),
+        ],
+    )
+    def test_non_finite_options_are_rejected(self, circle_file, capsys, flags, message):
+        # with --c-forcing nan no step was accepted and the run reported
+        # convergence; with --proj-tol inf it ended 5.9e11 off the circle
+        # with no RESIDUAL_CHECK
+        assert main(["run", "--problem", circle_file, "--max-iter", "600", *flags]) == 1
+        assert capsys.readouterr().err == f"error: INVALID_ARGUMENT: {message}\n"
+
     def test_residual_check_exit(self, tmp_path, capsys):
         # y is the float nearest the root of y^5 - 1e23*x, but at terms of
         # size 1e23 the original constraint cannot hold to 10 * tolerance
@@ -294,7 +344,11 @@ class TestProject:
 
     @pytest.mark.parametrize(
         "w, message",
-        [("a", "bad tangent vector 'a'"), ("0.1,0.2", "tangent vector needs 1 components, got 2")],
+        [
+            ("a", "bad tangent vector 'a'"),
+            ("0.1,0.2", "tangent vector needs 1 components, got 2"),
+            ("nan", "tangent vector 'nan' is not finite"),
+        ],
     )
     def test_bad_tangent_vector(self, curve_file, capsys, w, message):
         assert main(["project", "--problem", curve_file, "--w", w]) == 1
@@ -316,6 +370,27 @@ class TestGeodesic:
         assert payload["position"]["u"] == pytest.approx(1.0, abs=1e-6)
         assert payload["position"]["x"] == pytest.approx(0.0, abs=1e-6)
         assert payload["residual"] <= 1e-10
+
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["1,0", "--duration", "inf"], "INVALID_ARGUMENT: duration must be finite, got inf"),
+            (
+                ["1,0", "--duration", "1", "--step", "nan"],
+                "INVALID_ARGUMENT: step must be a positive finite number, got nan",
+            ),
+            (["nan,0", "--duration", "1"], "INVALID_ARGUMENT: velocity 'nan,0' is not finite"),
+            (["1,-inf", "--duration", "1"], "INVALID_ARGUMENT: velocity '1,-inf' is not finite"),
+            (
+                ["1,0", "--duration", "1", "--step", "0.5", "--oracle-radius", "1e-6"],
+                "DIVERGED: endpoint could not be projected back onto the manifold",
+            ),
+        ],
+    )
+    def test_failures(self, circle_file, capsys, flags, message):
+        assert main(["geodesic", "--problem", circle_file, "--velocity", *flags]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestValidate:

@@ -17,7 +17,13 @@ from polydescent.descent import (
     descend,
     random_unit_direction,
 )
-from polydescent.geometry import ProjectionConfig, PulledBackObjective, lift, residuals
+from polydescent.geometry import (
+    NotRegularError,
+    ProjectionConfig,
+    PulledBackObjective,
+    lift,
+    residuals,
+)
 from polydescent.polynomials import VariableOrder, parse_polynomial
 from polydescent.triangular import validate_triangular, whitney_partition
 
@@ -405,6 +411,18 @@ class TestNumericFailures:
                 DescentConfig(alpha0=0.25, j_max=10),
             )
 
+    def test_start_with_a_non_finite_jacobian_is_not_regular(self):
+        # at u = 1e8, x = 1 the residual A*u - A*u + 0 is 0, but dg/dx is
+        # 2*A*u - 3*A*u + 1 = inf - inf; the SVD used to fail on the NaN
+        big = "1" + "0" * 300
+        part = self._line(f"{big}*u*x^2 - {big}*u*x^3 + x - 1")
+        f = parse_polynomial("u", part.order)
+        with pytest.raises(NotRegularError, match="is not finite"):
+            descend(
+                DescentProblem(part, f, np.array([1e8, 1.0])),
+                DescentConfig(alpha0=0.25, j_max=10),
+            )
+
     def test_non_finite_start_residual_is_rejected(self):
         # finite coordinates whose residual is inf - inf: A*u*x and A*u*x^2
         # both overflow at u = 1e10, x = 1
@@ -457,6 +475,18 @@ class TestConfigValidation:
     def test_bad_forcing(self):
         with pytest.raises(ValueError):
             DescentConfig(alpha0=0.1, c_forcing=-1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_forcing_must_be_finite(self, value):
+        # a NaN or infinite C accepts no step, and the run would report
+        # convergence once the step had halved away
+        with pytest.raises(ValueError, match="c_forcing must be positive and finite"):
+            DescentConfig(alpha0=0.1, c_forcing=value)
+
+    @pytest.mark.parametrize("alpha_max", [math.inf, math.nan])
+    def test_alpha0_must_be_finite(self, alpha_max):
+        with pytest.raises(ValueError, match="alpha0 finite"):
+            DescentConfig(alpha0=math.inf, alpha_max=alpha_max)
 
     @pytest.mark.parametrize("field", ["j_max", "seed"])
     def test_negative_count(self, field):

@@ -32,6 +32,7 @@ from polydescent.geometry import (
     LiftError,
     NotRegularError,
     PulledBackObjective,
+    jacobian,
     lift,
     project_to_manifold,
     residuals,
@@ -41,7 +42,6 @@ from polydescent.polynomials import (
     Monomial,
     Polynomial,
     VariableOrder,
-    eval_terms,
     parse_polynomial,
 )
 from polydescent.triangular import validate_triangular, whitney_partition
@@ -219,21 +219,41 @@ def assert_trace_laws(problem: DescentProblem, cfg: DescentConfig, trace: Descen
 
 
 def assert_pipeline_properties(problem: DescentProblem, cfg: DescentConfig, trace: DescentTrace):
-    """Records on the manifold, every original member at the final lift, a repeatable run.
+    """The start's frame, records on the manifold, members at the final lift, a repeatable run.
 
-    The members hold to a backward error of 1e-9, relative to the sum of
-    their terms' magnitudes: ambient values reach 1e5 on random systems.
+    The frame at the start is orthonormal to 1e-12 and tangent to 1e-10
+    relative to the Jacobian's largest entry.  The members hold to a
+    backward error of 1e-9, relative to the sum of their terms' magnitudes:
+    ambient values reach 1e5 on random systems, and past 1e51 a member's
+    terms leave the float range, so each member is evaluated exactly at the
+    float coordinates of the final lift.
     """
     part = problem.partition
+    frame = tangent_frame(part, problem.start)
+    m = frame.U.shape[1]
+    assert np.max(np.abs(frame.U.T @ frame.U - np.eye(m))) <= 1e-12
+    J = jacobian(part, frame.base)
+    assert np.max(np.abs(J @ frame.U)) <= 1e-10 * (1 + np.max(np.abs(J)))
     for rec in trace.records:
         r = residuals(part, rec.coords)
         assert float(np.max(np.abs(r))) <= cfg.projection.residual_tol
-    amb = trace.final_ambient.tolist()
+    amb = [Fraction(v) for v in trace.final_ambient.tolist()]
     for g in part.system.polynomials:
-        terms = g.compile()
-        scale = sum(abs(eval_terms([t], amb)) for t in terms)
-        assert abs(eval_terms(terms, amb)) <= 1e-9 * max(1.0, scale)
+        terms = [c * math.prod(amb[i] ** e for i, e in mono.exps) for mono, c in g.terms.items()]
+        assert abs(sum(terms)) <= Fraction(1e-9) * max(1, sum(map(abs, terms)))
     assert descend(problem, cfg).records == trace.records
+
+
+def test_members_at_a_lift_past_the_float_range():
+    # the run ends at z2 = -2.7e51, z3 = 5.6e102, where the third member's
+    # terms z2^2*z3^2 and z3^3 overflow in floats; evaluated exactly, the
+    # members' backward errors are 0, 2.4e-17 and 3.5e-17
+    problem = random_problem(random.Random(random.Random(605).getrandbits(32)), False)
+    cfg = DescentConfig(alpha0=1.7668618094405681, j_max=250, seed=3957189629)
+    trace = assert_same_run(problem, cfg)
+    assert abs(trace.final_ambient[3]) > 1e102
+    assert_trace_laws(problem, cfg, trace)
+    assert_pipeline_properties(problem, cfg, trace)
 
 
 def test_stall_right_after_a_rebase(circle, monkeypatch):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import polydescent.geodesics as geodesics_mod
 from conftest import curve3_point
 from polydescent.geodesics import (
     DivergedError,
@@ -10,7 +11,7 @@ from polydescent.geodesics import (
     christoffel,
     geodesic_integrate,
 )
-from polydescent.geometry import NotRegularError, tangent_frame
+from polydescent.geometry import NotRegularError, ProjectionConfig, tangent_frame
 from polydescent.polynomials import VariableOrder, parse_polynomial
 from polydescent.triangular import validate_triangular, whitney_partition
 
@@ -46,6 +47,14 @@ class TestChristoffel:
             u = float(rng.uniform(-0.9, 0.9))
             gamma = christoffel(part, curve3_point(u))
             assert np.max(np.abs(gamma - gamma.transpose(0, 2, 1))) <= 1e-14
+
+    def test_non_finite_jacobian_is_not_regular(self):
+        # 3u^2 overflows at u = 1e200
+        order = VariableOrder(["u", "x"])
+        g = parse_polynomial("u^3 + x^2 - 1", order)
+        part = whitney_partition(validate_triangular([g], order), eliminate=[])
+        with pytest.raises(NotRegularError, match="is not finite"):
+            christoffel(part, [1e200, 1.0])
 
     def test_singular_point(self):
         order = VariableOrder(["u", "x"])
@@ -101,6 +110,56 @@ class TestIntegrate:
         state = GeodesicState(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
             geodesic_integrate(circle, state, 1.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "duration, step, message",
+        [
+            (1.0, math.nan, "step must be a positive finite number"),
+            (1.0, math.inf, "step must be a positive finite number"),
+            (1.0, -0.5, "step must be a positive finite number"),
+            (math.inf, 1e-3, "duration must be finite"),
+            (math.nan, 1e-3, "duration must be finite"),
+        ],
+    )
+    def test_non_finite_numbers_rejected(self, circle, duration, step, message):
+        state = GeodesicState(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
+        with pytest.raises(ValueError, match=message):
+            geodesic_integrate(circle, state, duration, step)
+
+    @pytest.mark.parametrize("velocity", [[math.nan, 0.0], [math.inf, 0.0]])
+    def test_non_finite_velocity_rejected(self, circle, velocity):
+        state = GeodesicState(np.array([0.0, 1.0]), np.array(velocity))
+        with pytest.raises(ValueError, match="velocity .* is not finite"):
+            geodesic_integrate(circle, state, 1.0, 1e-3)
+
+    def test_zero_velocity_stays_put(self, circle):
+        state = GeodesicState(np.array([0.0, 1.0]), np.zeros(2))
+        end = geodesic_integrate(circle, state, 1.0, 0.25)
+        assert end.position.tolist() == [0.0, 1.0]
+        assert end.velocity.tolist() == [0.0, 0.0]
+
+    def test_speed_that_is_not_a_number_diverges(self, circle, monkeypatch):
+        # a NaN acceleration in the last RK stage leaves the position finite
+        # and makes the speed NaN, which no comparison with 1e3 * v0 trips
+        real = geodesics_mod._acceleration
+        calls = []
+
+        def nan_fourth(part, z, v):
+            calls.append(z)
+            a = real(part, z, v)
+            return a * math.nan if len(calls) == 4 else a
+
+        monkeypatch.setattr(geodesics_mod, "_acceleration", nan_fourth)
+        state = GeodesicState(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
+        with pytest.raises(DivergedError):
+            geodesic_integrate(circle, state, 0.5, 0.5)
+
+    def test_endpoint_outside_the_oracle_radius(self, circle):
+        # two RK4 steps of 0.5 end 2.1e-4 inside the circle, beyond the radius
+        state = GeodesicState(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
+        cfg = ProjectionConfig(oracle_radius=1e-6)
+        with pytest.raises(DivergedError, match="endpoint could not be projected"):
+            geodesic_integrate(circle, state, 1.0, 0.5, cfg)
 
     def test_diverged(self, circle):
         state = GeodesicState(np.array([0.0, 1.0]), np.array([1e3, 0.0]))

@@ -66,6 +66,18 @@ class TestTangentFrame:
         with pytest.raises(NotRegularError):
             tangent_frame(part, [0.0, 0.0])
 
+    @pytest.mark.parametrize(
+        "constraint, p",
+        [("x - 1" + "0" * 300 + "*u^2", [1e9, 1.0]), ("u^3 + x^2 - 1", [1e200, 1.0])],
+        ids=["product", "power"],
+    )
+    def test_non_finite_jacobian_is_not_regular(self, constraint, p):
+        # dg/du = -2e309 overflows in a product, 3e400 in a power: either way
+        # the frame reports the Jacobian, not a rank its SVD could not give
+        part = _partition(["u", "x"], [constraint])
+        with pytest.raises(NotRegularError, match=r"Jacobian at \[.*\] is not finite"):
+            tangent_frame(part, p)
+
     def test_invariants_along_curve(self, curve3):
         for u in np.linspace(-0.95, 0.95, 12):
             for branch in (+1, -1):
@@ -189,6 +201,12 @@ class TestProjection:
         with pytest.raises(ValueError, match="must be positive"):
             ProjectionConfig(**{field: 0})
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_residual_tol_must_be_finite(self, value):
+        # an infinite tolerance would call every point on the manifold
+        with pytest.raises(ValueError, match="residual_tol finite"):
+            ProjectionConfig(residual_tol=value)
+
     def test_success_respects_radius_and_tol(self, curve3):
         rng = np.random.default_rng(5)
         cfg = ProjectionConfig()
@@ -229,6 +247,17 @@ class TestLift:
         part = _partition(["u", "x", "y"], ["x - u", top], eliminate_names=["y"])
         with pytest.raises(OverflowError, match=r"lift stage 0 \(y\)"):
             lift(part, [1e200, 1e200])
+
+    def test_a_power_beyond_the_float_range_meets_the_lift_rules(self):
+        # u^2 = 1e400 saturates to inf as u*x does: the linear stage's root
+        # is inf and overflows, and u^2*y - 1 has the limit root 0.0 that
+        # u*x*y - 1 has
+        part = _partition(["u", "x", "y"], ["x - u", "y - u^2"], eliminate_names=["y"])
+        with pytest.raises(OverflowError, match=r"lift stage 0 \(y\) has root inf"):
+            lift(part, [1e200, 1e200])
+        for top in ("u^2*y - 1", "u*x*y - 1"):
+            part = _partition(["u", "x", "y"], ["x - u", top], eliminate_names=["y"])
+            assert lift(part, [1e200, 1e200]).tolist() == [1e200, 1e200, 0.0]
 
     def test_ambiguous_without_warm_start(self):
         part = _partition(["x", "y"], ["x - 1", "y^2 - x"], eliminate_names=["y"])

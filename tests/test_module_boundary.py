@@ -4,7 +4,9 @@ Private names stay in the module that defines them, and a partition's state
 is owned by ``triangular.py``: other modules read ``WhitneyPartition``
 (including its ``compiled`` form) but never attach attributes to it.
 ``PulledBackObjective.__call__`` keeps no state: it sets no attribute of
-``self``, so a call depends on its arguments alone.
+``self``, so a call depends on its arguments alone.  The float range is
+decided in one place: ``eval_terms`` saturates a power past it, and only
+``descend`` catches the ``OverflowError`` the lift raises on purpose.
 """
 
 import ast
@@ -82,6 +84,38 @@ def self_writes(tree: ast.AST, cls: str, method: str) -> list[str]:
     return out
 
 
+def overflow_handlers(tree: ast.AST) -> list[str]:
+    """Innermost function (or ``<module>``) of each ``except`` that catches
+    ``OverflowError`` by name or as ``ArithmeticError``, alone or in a tuple.
+    """
+    out = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.ExceptHandler) and child.type is not None:
+                types = child.type.elts if isinstance(child.type, ast.Tuple) else [child.type]
+                names = {ast.unparse(t).split(".")[-1] for t in types}
+                if names & {"OverflowError", "ArithmeticError"}:
+                    out.append(where)
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return out
+
+
+# each function that may catch OverflowError, by module
+OVERFLOW_HANDLERS = {"polynomials.py": ["eval_terms"], "descent.py": ["descend"]}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_overflow_is_caught_only_where_the_float_range_is_decided(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert overflow_handlers(tree) == OVERFLOW_HANDLERS.get(path.name, [])
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_private_names_cross_modules(path):
     assert private_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
@@ -107,6 +141,33 @@ def attach(part: WhitneyPartition, frame):
     tree = ast.parse(bad)
     assert len(private_imports(tree)) == 2
     assert len(partition_writes(tree)) == 3
+
+
+def test_overflow_check_catches_handlers():
+    bad = """
+def norm(x):
+    try:
+        return x ** 2
+    except OverflowError:
+        return inf
+
+def outer():
+    def inner():
+        try:
+            pass
+        except (ValueError, builtins.OverflowError) as exc:
+            raise exc
+    try:
+        inner()
+    except ValueError:
+        pass
+
+try:
+    import numpy
+except ArithmeticError:
+    pass
+"""
+    assert overflow_handlers(ast.parse(bad)) == ["norm", "inner", "<module>"]
 
 
 def test_pullback_call_keeps_no_state():

@@ -1,6 +1,9 @@
+import math
 import random
+import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import random_nonconstant_polynomial, random_polynomial
@@ -12,6 +15,7 @@ from polydescent.polynomials import (
     Polynomial,
     UnknownVariableError,
     VariableOrder,
+    eval_terms,
     parse_polynomial,
 )
 
@@ -107,6 +111,48 @@ class TestEvaluate:
         expected = 0.8**4 + 0.6**2 - 1.0  # = -0.2304
         assert g.evaluate([0.8, 0.6]) == pytest.approx(expected, abs=1e-15)
         assert expected == pytest.approx(-0.2304, abs=1e-15)
+
+
+class TestFloatRange:
+    """A power past the float range saturates like an overflowing product or sum."""
+
+    @pytest.mark.parametrize(
+        "text, point, expected",
+        [
+            ("u^2", [1e200, 0.0], math.inf),
+            ("-u^3", [-1e200, 0.0], math.inf),
+            ("u^3 + x", [-1e200, 5.0], -math.inf),
+            ("u^2 - x^2", [1e200, 1e200], math.nan),
+            ("3*u^2*x^5", [1e-20, 1e100], math.inf),
+        ],
+    )
+    @pytest.mark.parametrize("as_array", [False, True], ids=["floats", "ndarray"])
+    def test_evaluation_saturates(self, text, point, expected, as_array):
+        p = parse_polynomial(text, UX)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy scalars would warn
+            got = p.evaluate(np.array(point) if as_array else point)
+        assert got == expected or (math.isnan(expected) and math.isnan(got))
+
+    def test_table_evaluation_never_raises(self):
+        # 2*u^2 + x^3: each power overflows alone, and together they cancel
+        terms = [(2.0, ((0, 2),)), (1.0, ((1, 3),))]
+        assert eval_terms(terms, [1e200, 1.0]) == math.inf
+        assert eval_terms(terms, [1.0, -1e200]) == -math.inf
+        assert math.isnan(eval_terms(terms, [1e200, -1e200]))
+        assert eval_terms(terms, [1e-200, 0.0]) == 0.0  # underflow is not overflow
+
+
+class TestMonomial:
+    @pytest.mark.parametrize("exps", [((1, 2), (0, 1)), ((0, 1), (0, 2))])
+    def test_indices_must_be_sorted_and_distinct(self, exps):
+        with pytest.raises(ValueError, match="sorted and distinct"):
+            Monomial(exps)
+
+    @pytest.mark.parametrize("e", [0, -1])
+    def test_exponents_must_be_positive(self, e):
+        with pytest.raises(ValueError, match="exponents must be positive"):
+            Monomial(((0, e),))
 
 
 class TestInputChecks:
