@@ -286,9 +286,9 @@ def _cmd_run(args) -> int:
         trace = descend(problem, cfg, on_record)
 
     # every emitted ambient point is re-checked against the file's full
-    # constraint list, not just the partitioned blocks
+    # constraint list, not just the partitioned blocks; np.max keeps a NaN
     ambient = trace.final_ambient
-    max_res = max(abs(g.evaluate(ambient)) for g in problem_file.constraints)
+    max_res = float(np.max([abs(g.evaluate(ambient)) for g in problem_file.constraints]))
     report = {
         "final_reduced": _point_dict(part, part.retained, trace.final_reduced),
         "final_ambient": _point_dict(part, range(len(part.order)), ambient),
@@ -300,7 +300,7 @@ def _cmd_run(args) -> int:
         "seed": args.seed,
     }
     _emit(report, args.report)
-    if max_res > 10 * pcfg.residual_tol:
+    if not max_res <= 10 * pcfg.residual_tol:
         print(
             f"error: RESIDUAL_CHECK: lifted point violates the original "
             f"constraints (residual {max_res:.3e})",

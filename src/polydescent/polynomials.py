@@ -66,53 +66,43 @@ def eval_terms(terms: Terms, vals: Sequence[float]) -> float:
     return total
 
 
+# float() rounds a magnitude from here on up to 2**1024, and raises
+_FLOAT_LIMIT = 2**1024 - 2**970
+
+
+def _saturated(c: Fraction) -> float:
+    """``float(c)``, the rounded ``n / d``, or ±inf where ``float`` raises."""
+    n, d = c.as_integer_ratio()
+    if abs(n) < _FLOAT_LIMIT * d:
+        return n / d
+    return math.inf if n > 0 else -math.inf
+
+
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
-class VariableOrder:
+class VariableOrder(tuple):
     """An ordered tuple of distinct variable names; position = rank.
 
     The leftmost name is the smallest variable.  Orders are immutable and
     shared by every polynomial built over them.
     """
 
-    __slots__ = ("names", "_index")
+    __slots__ = ()
 
-    def __init__(self, names: Iterable[str]):
-        names = tuple(names)
-        if not names:
+    def __new__(cls, names: Iterable[str]):
+        self = super().__new__(cls, names)
+        if not self:
             raise ValueError("variable order must be nonempty")
-        if len(set(names)) != len(names):
+        if len(set(self)) != len(self):
             raise ValueError("variable order contains duplicate names")
-        for n in names:
+        for n in self:
             if not _NAME_RE.match(n):
                 raise ValueError(f"invalid variable name '{n}'")
-        self.names = names
-        self._index = {n: i for i, n in enumerate(names)}
-
-    def index(self, name: str) -> int:
-        return self._index[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._index
-
-    def __len__(self) -> int:
-        return len(self.names)
-
-    def __iter__(self):
-        return iter(self.names)
-
-    def __getitem__(self, i: int) -> str:
-        return self.names[i]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, VariableOrder) and self.names == other.names
-
-    def __hash__(self) -> int:
-        return hash(self.names)
+        return self
 
     def __repr__(self) -> str:
-        return f"VariableOrder({', '.join(self.names)})"
+        return f"VariableOrder({', '.join(self)})"
 
 
 @dataclass(frozen=True)
@@ -267,11 +257,13 @@ class Polynomial:
         """Float term table for :func:`eval_terms`.
 
         Variable ``i`` is read from slot ``index_of[i]`` of the evaluation
-        point, or from slot ``i`` without a map.
+        point, or from slot ``i`` without a map.  A coefficient past the
+        float range compiles to the signed infinity, as a power does in
+        :func:`eval_terms`.
         """
         ix = range(len(self.order)) if index_of is None else index_of
         return [
-            (float(c), tuple((ix[i], e) for i, e in m.exps))
+            (_saturated(c), tuple((ix[i], e) for i, e in m.exps))
             for m, c in self.terms.items()
         ]
 

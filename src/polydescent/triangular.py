@@ -145,13 +145,14 @@ class CompiledSystem:
         self._partials = [[p.derivative(v) for v in part.retained] for p in part.g_star]
         self._jac = [[dp.compile(self._red_of) for dp in row] for row in self._partials]
         # stage j: one table per power of eliminated[j], grouping that power's
-        # terms in term order so each coefficient sums as the polynomial does
+        # terms in term order so each coefficient sums as the polynomial does;
+        # eliminated[j] is the main variable, so a term's factor in it is last
         self._stages: list[list[Terms]] = []
         for y, p in zip(part.eliminated, part.g_circ):
             tables: list[Terms] = [[] for _ in range(p.degree_in(y) + 1)]
-            for m, c in p.terms.items():
-                rest = tuple((i, e) for i, e in m.exps if i != y)
-                tables[m.degree_of(y)].append((float(c), rest))
+            for c, facs in p.compile():
+                e = facs[-1][1] if facs and facs[-1][0] == y else 0
+                tables[e].append((c, facs[:-1] if e else facs))
             self._stages.append(tables)
 
     @cached_property

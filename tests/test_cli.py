@@ -281,6 +281,35 @@ class TestRun:
         assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
+        "text, message",
+        [
+            # dg/du = -2e308 compiles to -inf: the start's Jacobian
+            (
+                "vars: u x\nconstraint: x - 2{zeros}*u\nobjective: u\nstart: u=0, x=0\n",
+                "NOT_REGULAR: Jacobian at [0.0, 0.0] is not finite",
+            ),
+            (
+                "vars: u x\nconstraint: u^2 + x^2 - 1\nobjective: 2{zeros}*u\n"
+                "start: u=1, x=0\n",
+                "INVALID_START: objective at the start is inf",
+            ),
+            (
+                "vars: u x y\neliminate: y\nconstraint: u^2 + x^2 - 1\n"
+                "constraint: y - 2{zeros}*x\nobjective: u\nstart: u=0, x=1\n",
+                "OVERFLOW: lift stage 0 (y) has root inf",
+            ),
+        ],
+        ids=["jacobian", "objective", "lift-stage"],
+    )
+    def test_coefficient_beyond_the_float_range(self, tmp_path, capsys, text, message):
+        # a coefficient of 2e308 compiles to inf and fails where an inf
+        # value would, instead of raising at set-up
+        path = tmp_path / "huge.problem"
+        path.write_text(text.format(zeros="0" * 308))
+        assert main(["run", "--problem", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
         "flags, message",
         [
             (["--c-forcing", "nan"], "c_forcing must be positive and finite"),
@@ -316,6 +345,30 @@ class TestRun:
         assert capsys.readouterr().err == (
             "error: RESIDUAL_CHECK: lifted point violates the original "
             f"constraints (residual {residual:.3e})\n"
+        )
+
+    def test_residual_check_fails_on_a_nan_member(self, tmp_path, capsys):
+        # the run ends at z2 = -2.74e51, z3 = 5.64e102, where the last
+        # constraint evaluates to inf - inf: a NaN residual cannot pass
+        path = tmp_path / "nan.problem"
+        path.write_text(
+            "vars: z0 z1 z2 z3\neliminate: z1 z3\nconstraint: z0 - 1/4\n"
+            "constraint: -1/3*z0 + 3*z1 - 6\n"
+            "constraint: -4/5*z0^4 - 3/2*z2^2*z3^2 + 7/3*z1^2*z3 + 7/3*z2^3"
+            " + 2*z3^3 + 4*z1^2 - 11/10*z0 + 5/4\n"
+            "objective: -5*z0^3*z1 + 14/9*z1^4 - 2/7*z3^3 + 4/7*z1 + 10/3*z2\n"
+            "start: z0=0.25, z2=0.627601859836326\n"
+        )
+        report = tmp_path / "report.json"
+        argv = [
+            "run", "--problem", str(path), "--seed", "3957189629",
+            "--alpha0", "1.7668618094405681", "--max-iter", "250", "--report", str(report),
+        ]
+        assert main(argv) == 1
+        assert math.isnan(json.loads(report.read_text())["max_constraint_residual"])
+        assert capsys.readouterr().err == (
+            "error: RESIDUAL_CHECK: lifted point violates the original "
+            "constraints (residual nan)\n"
         )
 
     def test_validation_error_code(self, tmp_path, capsys):
@@ -413,6 +466,15 @@ class TestValidate:
         path = tmp_path / "far.problem"
         path.write_text(CURVE_PROBLEM.replace("start: u=0, x=1", "start: u=0, x=2"))
         assert main(["validate", "--problem", str(path)]) == 0
+
+
+    def test_validate_compiles_nothing(self, tmp_path, capsys):
+        # a coefficient past the float range is still printed exactly
+        big = "2" + "0" * 308
+        path = tmp_path / "huge.problem"
+        path.write_text(f"vars: u x\nconstraint: x - {big}*u\nobjective: u\nstart: u=0, x=0\n")
+        assert main(["validate", "--problem", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["g_star"] == [f"-{big}*u + x"]
 
 
 class TestSubprocessEntry:

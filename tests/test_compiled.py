@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_partition
 import polydescent.triangular as triangular
 from polydescent.geometry import LiftError, lift
-from polydescent.polynomials import Polynomial, VariableOrder, parse_polynomial
+from polydescent.polynomials import Polynomial, VariableOrder, eval_terms, parse_polynomial
 from polydescent.triangular import validate_triangular, whitney_partition
 
 
@@ -72,6 +72,31 @@ def test_compiled_matches_exact_evaluation(seed):
     except LiftError:
         return
     _check_compiled(part, lifted.tolist())
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_stage_coefficients_sum_the_exact_terms_in_order(seed):
+    # each stage coefficient is the terms of its power of eliminated[j],
+    # taken from the exact form in term order: bit for bit the same sum
+    rng = random.Random(seed)
+    part = random_partition(rng)
+    amb = [rng.uniform(-1.5, 1.5) for _ in part.order]
+    for j, (y, g) in enumerate(zip(part.eliminated, part.g_circ)):
+        tables = [[] for _ in range(g.degree_in(y) + 1)]
+        for m, c in g.terms.items():
+            tables[m.degree_of(y)].append((float(c), m.without(y).exps))
+        expected = [eval_terms(t, amb) for t in tables]
+        assert part.compiled.stage_coeffs(j, amb) == expected
+
+
+def test_stage_coefficient_past_the_float_range_saturates():
+    order = VariableOrder(["u", "x", "y"])
+    big = "2" + "0" * 308
+    polys = [parse_polynomial(t, order) for t in ("u^2 + x^2 - 1", f"y^2 - {big}*x")]
+    part = whitney_partition(validate_triangular(polys, order), eliminate=[2])
+    assert part.compiled.stage_coeffs(0, [0.0, 1.0, 0.0]) == [-np.inf, 0.0, 1.0]
+    assert part.compiled.stage_coeffs(0, [0.0, -1.0, 0.0]) == [np.inf, 0.0, 1.0]
 
 
 def test_non_prefix_retained_set():

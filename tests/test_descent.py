@@ -341,6 +341,40 @@ class TestNumericFailures:
         assert all(math.isfinite(r.f) for r in trace.records)
         assert trace.converged is False
 
+    def test_overflowing_lifts_fail_their_polls(self, monkeypatch):
+        # y = 1e305 / x leaves the float range once x falls below about
+        # 5.56e-4: the lifts of the polls there raise OverflowError, and the
+        # descent stops at the last x whose lift is finite
+        order = VariableOrder(["u", "x", "y"])
+        polys = [
+            parse_polynomial("u^2 + x^2 - 1", order),
+            parse_polynomial("x*y - 1" + "0" * 305, order),
+        ]
+        part = whitney_partition(
+            validate_triangular(polys, order), eliminate=[order.index("y")]
+        )
+        overflows = []
+
+        class Spy(PulledBackObjective):
+            def __call__(self, p, warm=None):
+                try:
+                    return super().__call__(p, warm)
+                except OverflowError:
+                    overflows.append(p)
+                    raise
+
+        monkeypatch.setattr(descent_mod, "PulledBackObjective", Spy)
+        f = parse_polynomial("u", order)
+        cfg = DescentConfig(alpha0=0.25, j_max=2000, seed=0)
+        trace = descend(DescentProblem(part, f, np.array([0.0, 1.0])), cfg)
+        assert overflows
+        assert trace.iterations == 2000
+        assert all(
+            math.isfinite(r.f) and all(map(math.isfinite, r.coords)) for r in trace.records
+        )
+        assert np.isfinite(trace.final_ambient).all()
+        assert 5e-4 < trace.final_reduced[1] < 6e-4
+
     def test_doubled_step_is_capped_at_the_largest_float(self):
         # from alpha0 = 1e308 the first success would double the step to
         # inf, and 0.5 * inf is inf, so every later iteration re-based.

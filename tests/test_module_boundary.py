@@ -6,7 +6,9 @@ is owned by ``triangular.py``: other modules read ``WhitneyPartition``
 ``PulledBackObjective.__call__`` keeps no state: it sets no attribute of
 ``self``, so a call depends on its arguments alone.  The float range is
 decided in one place: ``eval_terms`` saturates a power past it, and only
-``descend`` catches the ``OverflowError`` the lift raises on purpose.
+``descend`` catches the ``OverflowError`` the lift raises on purpose.  Only
+``polynomials.py`` reads a polynomial's exact form (``.terms``, ``.exps``);
+every other module works from its compiled float tables.
 """
 
 import ast
@@ -104,6 +106,32 @@ def overflow_handlers(tree: ast.AST) -> list[str]:
 
     visit(tree, "<module>")
     return out
+
+
+def exact_form_reads(tree: ast.AST) -> list[str]:
+    """Reads of an attribute named ``terms`` or ``exps``."""
+    return [
+        f"line {node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("terms", "exps")
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "polynomials.py"], ids=lambda p: p.name
+)
+def test_exact_form_is_read_only_in_polynomials(path):
+    assert exact_form_reads(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_exact_form_check_catches_reads():
+    bad = """
+def tables(p, y):
+    for m, c in p.terms.items():
+        rest = [e for i, e in m.exps if i != y]
+    return getattr(p, "terms"), p.compile(), p.order
+"""
+    assert exact_form_reads(ast.parse(bad)) == ["line 3: p.terms", "line 4: m.exps"]
 
 
 # each function that may catch OverflowError, by module

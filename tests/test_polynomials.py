@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import warnings
 from fractions import Fraction
 
@@ -142,6 +143,26 @@ class TestFloatRange:
         assert math.isnan(eval_terms(terms, [1e200, -1e200]))
         assert eval_terms(terms, [1e-200, 0.0]) == 0.0  # underflow is not overflow
 
+    def test_compile_saturates_at_the_float_limit(self):
+        # float() rounds a magnitude from 2**1024 - 2**970 on to 2**1024 and
+        # raises there; compile counts it as the signed infinity instead
+        limit = 2**1024 - 2**970
+        with pytest.raises(OverflowError):
+            float(Fraction(limit))
+        table = Polynomial.constant(UX, limit - 1).compile()
+        assert table == [(sys.float_info.max, ())]
+        assert Polynomial.constant(UX, limit).compile() == [(math.inf, ())]
+        assert Polynomial.constant(UX, -limit).compile() == [(-math.inf, ())]
+        # a rational just below the limit stays finite
+        below = Fraction(3 * limit - 1, 3)
+        assert Polynomial.constant(UX, below).compile() == [(sys.float_info.max, ())]
+        assert Polynomial.constant(UX, Fraction(1, 2**1100)).compile() == [(0.0, ())]
+
+    def test_coefficient_past_the_float_range_evaluates_saturated(self):
+        p = parse_polynomial("x - 2" + "0" * 308 + "*u", UX)
+        assert p.evaluate([1.0, 0.0]) == -math.inf
+        assert math.isnan(p.evaluate([0.0, 0.0]))
+
 
 class TestMonomial:
     @pytest.mark.parametrize("exps", [((1, 2), (0, 1)), ((0, 1), (0, 2))])
@@ -167,6 +188,14 @@ class TestInputChecks:
     def test_bad_variable_order(self, names, message):
         with pytest.raises(ValueError, match=message):
             VariableOrder(names)
+
+    def test_variable_order_is_a_tuple_of_names(self):
+        assert isinstance(UX, tuple)
+        assert UX == ("u", "x") and hash(UX) == hash(("u", "x"))
+        assert (UX.index("x"), "u" in UX, "y" in UX) == (1, True, False)
+        assert repr(UXY) == "VariableOrder(u, x, y)"
+        with pytest.raises(ValueError):
+            UX.index("y")
 
     def test_arithmetic_across_orders(self):
         with pytest.raises(ValueError, match="different variable orders"):
