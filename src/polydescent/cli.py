@@ -106,13 +106,10 @@ def _error_code(exc: BaseException) -> str:
 
 
 @dataclass
-class ProblemFile:
-    """A parsed, validated problem: partition plus objective and start point."""
+class ProblemFile(DescentProblem):
+    """A parsed, validated problem, plus the file's constraints as written."""
 
     constraints: list[Polynomial]
-    objective: Polynomial
-    partition: WhitneyPartition
-    start: np.ndarray
 
 
 def load_problem(
@@ -232,22 +229,16 @@ def load_problem(
             )
         start = projected
 
-    return ProblemFile(constraints, objective, partition, start)
+    return ProblemFile(partition, objective, start, constraints)
 
 
 # -- subcommands ---------------------------------------------------------------
+# ``main`` loads the problem file once and hands it to the handler, with the
+# projection settings to all but ``validate``, which projects nothing
 
 
 def _point_dict(part: WhitneyPartition, vars_idx, coords) -> dict[str, float]:
     return {part.order[v]: float(c) for v, c in zip(vars_idx, coords)}
-
-
-def _proj_config(args) -> ProjectionConfig:
-    return ProjectionConfig(
-        residual_tol=args.proj_tol,
-        max_iters=args.proj_max_iter,
-        oracle_radius=args.oracle_radius,
-    )
 
 
 def _emit(payload: dict, path: str | None):
@@ -259,10 +250,8 @@ def _emit(payload: dict, path: str | None):
         print(text)
 
 
-def _cmd_run(args) -> int:
-    pcfg = _proj_config(args)
-    problem_file = load_problem(args.problem, pcfg)
-    part = problem_file.partition
+def _cmd_run(args, problem: ProblemFile, pcfg: ProjectionConfig) -> int:
+    part = problem.partition
     cfg = DescentConfig(
         alpha0=args.alpha0,
         alpha_max=args.alpha_max,
@@ -271,7 +260,6 @@ def _cmd_run(args) -> int:
         seed=args.seed,
         projection=pcfg,
     )
-    problem = DescentProblem(part, problem_file.objective, problem_file.start)
 
     on_record = None
     with open(args.trace, "w", encoding="utf-8") if args.trace else nullcontext() as fh:
@@ -288,7 +276,7 @@ def _cmd_run(args) -> int:
     # every emitted ambient point is re-checked against the file's full
     # constraint list, not just the partitioned blocks; np.max keeps a NaN
     ambient = trace.final_ambient
-    max_res = float(np.max([abs(g.evaluate(ambient)) for g in problem_file.constraints]))
+    max_res = float(np.max([abs(g.evaluate(ambient)) for g in problem.constraints]))
     report = {
         "final_reduced": _point_dict(part, part.retained, trace.final_reduced),
         "final_ambient": _point_dict(part, range(len(part.order)), ambient),
@@ -322,11 +310,9 @@ def _parse_vector(text: str, expected: int, what: str) -> np.ndarray:
     return vec
 
 
-def _cmd_project(args) -> int:
-    pcfg = _proj_config(args)
-    problem_file = load_problem(args.problem, pcfg)
-    part = problem_file.partition
-    frame = tangent_frame(part, problem_file.start)
+def _cmd_project(args, problem: ProblemFile, pcfg: ProjectionConfig) -> int:
+    part = problem.partition
+    frame = tangent_frame(part, problem.start)
     w = _parse_vector(args.w, frame.U.shape[1], "tangent vector")
     q0 = frame.base + frame.U @ w
     point = project_to_manifold(frame, w, pcfg)
@@ -339,12 +325,10 @@ def _cmd_project(args) -> int:
     return 0
 
 
-def _cmd_geodesic(args) -> int:
-    pcfg = _proj_config(args)
-    problem_file = load_problem(args.problem, pcfg)
-    part = problem_file.partition
+def _cmd_geodesic(args, problem: ProblemFile, pcfg: ProjectionConfig) -> int:
+    part = problem.partition
     velocity = _parse_vector(args.velocity, part.reduced_dim, "velocity")
-    state = GeodesicState(problem_file.start, velocity)
+    state = GeodesicState(problem.start, velocity)
     final = geodesic_integrate(part, state, args.duration, args.step, pcfg)
     payload = {
         "position": _point_dict(part, part.retained, final.position),
@@ -356,9 +340,8 @@ def _cmd_geodesic(args) -> int:
     return 0
 
 
-def _cmd_validate(args) -> int:
-    problem_file = load_problem(args.problem, project_start=False)
-    part = problem_file.partition
+def _cmd_validate(args, problem: ProblemFile) -> int:
+    part = problem.partition
     sys_ = part.system
     names = lambda idxs: [part.order[v] for v in idxs]
     payload = {
@@ -376,61 +359,48 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _add_proj_flags(parser: argparse.ArgumentParser):
-    d = DEFAULT_PROJECTION
-    parser.add_argument("--proj-tol", type=float, default=d.residual_tol)
-    parser.add_argument("--proj-max-iter", type=int, default=d.max_iters)
-    parser.add_argument("--oracle-radius", type=float, default=d.oracle_radius)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polydescent",
         description="derivative-free descent over triangular polynomial manifolds",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
     run = sub.add_parser("run", help="run the descent loop on a problem file")
-    run.add_argument("--problem", required=True)
+    proj = sub.add_parser("project", help="one projection solve, for debugging")
+    geo = sub.add_parser("geodesic", help="integrate a geodesic from the start point")
+    val = sub.add_parser("validate", help="triangular and partition checks only")
+    for p in (run, proj, geo, val):
+        p.add_argument("--problem", required=True)
+
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--alpha0", type=float, default=0.25)
     run.add_argument("--alpha-max", type=float, default=math.inf)
     run.add_argument("--c-forcing", type=float, default=None)
     run.add_argument("--max-iter", type=int, default=DescentConfig.j_max)
-    _add_proj_flags(run)
-    run.add_argument("--trace", default=None)
-    run.add_argument("--report", default=None)
-    run.set_defaults(fn=_cmd_run)
-
-    proj = sub.add_parser("project", help="one projection solve, for debugging")
-    proj.add_argument("--problem", required=True)
     proj.add_argument("--w", required=True, help="comma-separated tangent coords")
-    _add_proj_flags(proj)
-    proj.add_argument("--report", default=None)
-    proj.set_defaults(fn=_cmd_project)
-
-    geo = sub.add_parser("geodesic", help="integrate a geodesic from the start point")
-    geo.add_argument("--problem", required=True)
     geo.add_argument("--velocity", required=True, help="comma-separated components")
     geo.add_argument("--duration", type=float, required=True)
     geo.add_argument("--step", type=float, default=1e-3)
-    _add_proj_flags(geo)
-    geo.add_argument("--report", default=None)
-    geo.set_defaults(fn=_cmd_geodesic)
 
-    val = sub.add_parser("validate", help="triangular and partition checks only")
-    val.add_argument("--problem", required=True)
-    val.add_argument("--report", default=None)
-    val.set_defaults(fn=_cmd_validate)
-
+    d = DEFAULT_PROJECTION
+    for p, fn in ((run, _cmd_run), (proj, _cmd_project), (geo, _cmd_geodesic)):
+        p.add_argument("--proj-tol", type=float, default=d.residual_tol)
+        p.add_argument("--proj-max-iter", type=int, default=d.max_iters)
+        p.add_argument("--oracle-radius", type=float, default=d.oracle_radius)
+        p.set_defaults(fn=fn)
+    run.add_argument("--trace", default=None)
+    for p in (run, proj, geo, val):
+        p.add_argument("--report", default=None)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        if args.command == "validate":
+            return _cmd_validate(args, load_problem(args.problem, project_start=False))
+        pcfg = ProjectionConfig(args.proj_tol, args.proj_max_iter, args.oracle_radius)
+        return args.fn(args, load_problem(args.problem, pcfg), pcfg)
     except Exception as exc:  # noqa: BLE001 - single reporting point
         print(f"error: {_error_code(exc)}: {exc}", file=sys.stderr)
         return 1

@@ -116,8 +116,10 @@ def check_convergence(trace: DescentTrace | Iterable[TraceRecord], window: int) 
     """True when the base point held still and the step size died down.
 
     Checks that no re-base happened in the final ``window`` iterations and
-    that the last step size fell below 1e-8.
+    that the last step size fell below 1e-8.  ``window`` must be at least 1.
     """
+    if window < 1:
+        raise ValueError(f"window must be at least 1, got {window}")
     records = trace.records if isinstance(trace, DescentTrace) else list(trace)
     if not records:
         return False

@@ -162,9 +162,10 @@ def project_to_manifold(
     a residual is not finite, the iteration leaves the
     ``oracle_radius`` ball around ``q0``, its residual exceeds 1e6 times the
     first residual it evaluates (the one at its start), or it fails to meet
-    ``residual_tol`` within ``max_iters`` updates.  None is the oracle
-    saying the implicit function theorem stopped holding out here, and the
-    caller re-bases.
+    ``residual_tol`` within ``max_iters`` updates (at once when an update
+    leaves ``q`` unchanged under ``==``, as every later one would).  None
+    is the oracle saying the implicit function theorem stopped holding out
+    here, and the caller re-bases.
     """
     compiled_residuals = frame.partition.compiled.residuals
     if not all(map(math.isfinite, w)):
@@ -194,7 +195,10 @@ def project_to_manifold(
             return None
         if n == cfg.max_iters:
             return None
-        q = [qi - sum(map(mul, row, g)) for qi, row in zip(q, n_rows)]
+        q_next = [qi - sum(map(mul, row, g)) for qi, row in zip(q, n_rows)]
+        if q_next == q:
+            return None  # rounding holds q still; the updates left would too
+        q = q_next
 
 
 # -- univariate real roots for the lift ---------------------------------------
@@ -304,6 +308,9 @@ def _critical_points(dcoeffs: tuple[float, ...]) -> tuple[float, ...]:
 
 
 def _lift_values(part: WhitneyPartition, p, warm) -> list[float]:
+    _check_length(p, part.reduced_dim, "reduced point")
+    if warm is not None:
+        _check_length(warm, len(part.order), "warm start")
     compiled = part.compiled
     if warm is None:
         vals = [0.0] * len(part.order)
@@ -359,9 +366,6 @@ def lift(part: WhitneyPartition, p, warm=None) -> np.ndarray:
     with no real root has a coefficient that is not finite, and
     ``ValueError`` when ``p`` or ``warm`` has the wrong length.
     """
-    _check_length(p, part.reduced_dim, "reduced point")
-    if warm is not None:
-        _check_length(warm, len(part.order), "warm start")
     return np.array(_lift_values(part, p, warm))
 
 
@@ -372,9 +376,10 @@ class PulledBackObjective:
     each stage taking the root nearest the ambient point ``warm``, and
     returns ``(value, ambient)``.  It keeps no state: a caller stays on one
     sheet by passing the lift it accepted.  Raises
-    :class:`LiftError` when the lift fails and ``OverflowError`` when a
-    stage leaves the float range; a polynomial objective past the float
-    range reads inf or nan.
+    :class:`LiftError` when the lift fails, ``OverflowError`` when a
+    stage leaves the float range and ``ValueError`` when ``p`` or ``warm``
+    has the wrong length; a polynomial objective past the float range reads
+    inf or nan.
     """
 
     def __init__(self, objective, part: WhitneyPartition):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 from polydescent.cli import (
     ProblemFileError,
     StartOffManifoldError,
+    build_parser,
     load_problem,
     main,
 )
@@ -475,6 +477,65 @@ class TestValidate:
         path.write_text(f"vars: u x\nconstraint: x - {big}*u\nobjective: u\nstart: u=0, x=0\n")
         assert main(["validate", "--problem", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["g_star"] == [f"-{big}*u + x"]
+
+
+# each subcommand's options in --help order: (flag, type, required, default)
+PROJECTION_OPTIONS = [
+    ("--proj-tol", float, False, 1e-10),
+    ("--proj-max-iter", int, False, 50),
+    ("--oracle-radius", float, False, 0.5),
+]
+SUBCOMMAND_OPTIONS = {
+    "run": [
+        ("--problem", None, True, None),
+        ("--seed", int, False, 0),
+        ("--alpha0", float, False, 0.25),
+        ("--alpha-max", float, False, math.inf),
+        ("--c-forcing", float, False, None),
+        ("--max-iter", int, False, 1000),
+        *PROJECTION_OPTIONS,
+        ("--trace", None, False, None),
+        ("--report", None, False, None),
+    ],
+    "project": [
+        ("--problem", None, True, None),
+        ("--w", None, True, None),
+        *PROJECTION_OPTIONS,
+        ("--report", None, False, None),
+    ],
+    "geodesic": [
+        ("--problem", None, True, None),
+        ("--velocity", None, True, None),
+        ("--duration", float, True, None),
+        ("--step", float, False, 1e-3),
+        *PROJECTION_OPTIONS,
+        ("--report", None, False, None),
+    ],
+    "validate": [
+        ("--problem", None, True, None),
+        ("--report", None, False, None),
+    ],
+}
+
+
+class TestParser:
+    """The flag table of every subcommand; the help text itself varies by Python."""
+
+    @staticmethod
+    def _subcommands():
+        (action,) = [
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        return action.choices
+
+    def test_subcommands_in_order(self):
+        assert list(self._subcommands()) == list(SUBCOMMAND_OPTIONS)
+
+    @pytest.mark.parametrize("command", list(SUBCOMMAND_OPTIONS))
+    def test_options(self, command):
+        actions = [a for a in self._subcommands()[command]._actions if a.dest != "help"]
+        got = [(*a.option_strings, a.type, a.required, a.default) for a in actions]
+        assert got == SUBCOMMAND_OPTIONS[command]
 
 
 class TestSubprocessEntry:

@@ -296,6 +296,23 @@ class TestNumericFailures:
         assert events[1564] == UNSUCCESSFUL
         assert all(math.isfinite(r.f) for r in trace.records)
 
+    def test_stuck_chord_gives_up_without_spending_its_iterations(self, monkeypatch):
+        # past about 1e6 on x = u a chord update rounds back to the same two
+        # floats, so the projection fails at once instead of evaluating all
+        # max_iters + 1 residuals; the trace is the same either way, since
+        # every later update would repeat it
+        part = self._line("x - u")
+        f = parse_polynomial("-u^3", part.order)
+        calls = []
+        real = part.compiled.residuals
+        monkeypatch.setattr(part.compiled, "residuals", lambda q: calls.append(1) or real(q))
+        cfg = DescentConfig(alpha0=0.25, j_max=3000, seed=0)
+        trace = descend(DescentProblem(part, f, np.zeros(2)), cfg)
+        events = [r.event for r in trace.records]
+        counts = {e: events.count(e) for e in (SUCCESS, UNSUCCESSFUL, REBASE)}
+        assert counts == {SUCCESS: 976, UNSUCCESSFUL: 1413, REBASE: 611}
+        assert len(calls) <= 4000
+
     def test_overflow_after_the_last_acceptance_is_not_convergence(self):
         # -u^3 is unbounded below along x = u: the accepted value reaches
         # -1.797e308, then every poll overflows and the step dies down
@@ -497,6 +514,17 @@ class TestCheckConvergence:
 
     def test_empty_trace(self):
         assert not check_convergence(self._trace([]), window=10)
+
+    @pytest.mark.parametrize("window", [0, -1])
+    def test_window_below_one_is_rejected(self, window):
+        # records[-0:] is the whole trace and a negative window skips its
+        # head, so neither reads as the last few iterations
+        records = [TraceRecord(0, 0.25, 1.0, REBASE, (0.0,))] + [
+            TraceRecord(j, 0.25 * 0.5**j, 1.0, UNSUCCESSFUL, (0.0,)) for j in range(1, 40)
+        ]
+        assert check_convergence(self._trace(records), window=1)
+        with pytest.raises(ValueError, match="window must be at least 1"):
+            check_convergence(self._trace(records), window=window)
 
 
 class TestConfigValidation:

@@ -324,10 +324,15 @@ class TestLift:
         assert amb[3] == pytest.approx(y1 + 2.0, rel=1e-12)
 
 
+def ftilde(part, p, warm=None):
+    """The height objective's pullback on ``part``, called as ``lift`` is."""
+    return PulledBackObjective(parse_polynomial("y", part.order), part)(p, warm)
+
+
 class TestWrongLength:
     """Public entry points reject reduced points and warm starts of the wrong length."""
 
-    @pytest.mark.parametrize("fn", [lift, residuals, jacobian])
+    @pytest.mark.parametrize("fn", [lift, residuals, jacobian, ftilde])
     @pytest.mark.parametrize("p", [[0.6], [0.6, 0.8, 123.0]])
     def test_reduced_point(self, curve3, fn, p):
         with pytest.raises(ValueError, match="reduced point has"):
@@ -337,6 +342,13 @@ class TestWrongLength:
     def test_warm_start(self, curve3, warm):
         with pytest.raises(ValueError, match="warm start has"):
             lift(curve3, curve3_point(0.6), warm=warm)
+
+    @pytest.mark.parametrize("warm", [[], [-0.9], [0.0, 1.0, -1.0, 7.0]])
+    def test_pullback_warm_start(self, curve3, warm):
+        # the pullback lifts as lift does: a warm start too short for the
+        # ambient point, or one longer than it, is refused rather than read
+        with pytest.raises(ValueError, match="warm start has"):
+            ftilde(curve3, [0.0, 1.0], warm=warm)
 
     @pytest.mark.parametrize("start", [[0.6], [0.6, 0.8, 0.0]])
     def test_projection_start(self, curve3, start):
