@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import mul
 
 import numpy as np
@@ -94,6 +93,11 @@ class TangentFrame:
 def _check_length(p, n: int, what: str):
     if len(p) != n:
         raise ValueError(f"{what} has {len(p)} coordinates, expected {n}")
+
+
+def _check_finite(p, what: str):
+    if not all(map(math.isfinite, p)):
+        raise ValueError(f"{what} has a coordinate that is not finite")
 
 
 def residuals(part: WhitneyPartition, p) -> np.ndarray:
@@ -201,151 +205,55 @@ def project_to_manifold(
         q = q_next
 
 
-# -- univariate real roots for the lift ---------------------------------------
-
-
-def _horner(coeffs: list[float], y: float) -> float:
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * y + c
-    return acc
-
-
-def _bracketed_newton(
-    coeffs: list[float],
-    dcoeffs: list[float],
-    lo: float,
-    hi: float,
-    fhi_pos: bool,
-    guess: float,
-) -> float:
-    """The root in (lo, hi); the polynomial is positive at ``hi`` iff ``fhi_pos``.
-
-    Starts at ``guess`` when it lies strictly inside the bracket (the warm
-    start's value: a continuation step away from the root), else at the
-    midpoint; a NaN guess lies inside none.  Newton steps are taken while
-    they stay inside the bracket, falling back to bisection otherwise; the
-    bracket shrinks every iteration.  Stops on an exact zero, at an iterate
-    whose Newton step is below 2e-16 relative, or once no float lies
-    strictly inside the bracket, so there is no iteration cap to run into.
-    The iterate is returned without that last step, so a root the step rule
-    returned is returned again when polished from itself.
-    """
-    x = guess if lo < guess < hi else 0.5 * (lo + hi)
-    while lo < x < hi:
-        f = _horner(coeffs, x)
-        if f == 0.0:
-            return x
-        if (f > 0.0) == fhi_pos:
-            hi = x
-        else:
-            lo = x
-        df = _horner(dcoeffs, x)
-        step = f / df if df != 0.0 else math.inf
-        if abs(step) <= 2e-16 * abs(x):
-            return x
-        x -= step
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
-    return x
-
-
-def _real_roots(coeffs: list[float], guess: float = math.nan) -> list[float] | None:
-    """All real roots of odd multiplicity, ascending; None if identically zero.
-
-    Each root in a bracket containing ``guess`` is polished from it (see
-    :func:`_bracketed_newton`); the others from their bracket's midpoint.
-
-    The polynomial is monotone between consecutive real roots of its
-    derivative, so those roots (found by recursion down to the linear closed
-    form), closed at both ends by Fujiwara's root bound, cut the line into
-    intervals holding at most one root each.  Every interval whose ends
-    differ in sign is closed with :func:`_bracketed_newton`.  Roots of even
-    multiplicity produce no sign change and are found only where the value
-    at a critical point is exactly zero; at such points the implicit function
-    theorem fails anyway.
-    """
-    d = len(coeffs) - 1
-    while d >= 0 and coeffs[d] == 0.0:
-        d -= 1
-    if d < 0:
-        return None
-    coeffs = coeffs[: d + 1]
-    if d == 0:
-        return []
-    if d == 1:
-        return [-coeffs[0] / coeffs[1]]
-
-    # Fujiwara's bound; each |c_i / c_d|^(1/(d-i)) is a ratio of roots so it
-    # cannot overflow where the root is representable (a loop: this is hot)
-    lead = abs(coeffs[d])
-    ratio = 0.0
-    for i in range(d):
-        k = 1.0 / (d - i)
-        r = abs(coeffs[i]) ** k / lead ** k
-        if r > ratio:
-            ratio = r
-    bound = 1.0 + 2.0 * ratio
-    dcoeffs = [coeffs[e] * e for e in range(1, d + 1)]
-    knots = [-bound, *_critical_points(tuple(dcoeffs)), bound]
-    vals = [_horner(coeffs, x) for x in knots]
-    roots = [x for x, f in zip(knots, vals) if f == 0.0]
-    for lo, hi, flo, fhi in zip(knots, knots[1:], vals, vals[1:]):
-        if flo < 0.0 < fhi or fhi < 0.0 < flo:
-            roots.append(_bracketed_newton(coeffs, dcoeffs, lo, hi, fhi > 0.0, guess))
-    return sorted(roots)
-
-
-@lru_cache(maxsize=256)
-def _critical_points(dcoeffs: tuple[float, ...]) -> tuple[float, ...]:
-    # a stage's derivative is often the same at every point (y^5 + c has
-    # 5*y^4 everywhere), so its roots are worth remembering; they are found
-    # without a guess, so the coefficients are the whole key
-    return tuple(_real_roots(list(dcoeffs)))
-
-
 # -- the lift ------------------------------------------------------------------
+
+
+def _nearest_root(part: WhitneyPartition, j: int, vals, roots, guess: float) -> float:
+    # a stage with no root, several or a vanishing constraint
+    name = part.order[part.eliminated[j]]
+    if roots is None:
+        raise AmbiguousRootError(j, name, "constraint vanishes identically at this point")
+    if not roots:
+        coeffs = part.compiled.stage_coeffs(j, vals)
+        if not all(map(math.isfinite, coeffs)):
+            raise OverflowError(f"lift stage {j} ({name}) has coefficients {coeffs}")
+        raise NoRealRootError(
+            j,
+            name,
+            f"'{part.g_circ[j]}' has coefficients {coeffs} in {name}",
+        )
+    roots.sort(key=lambda r: abs(r - guess))
+    if abs(abs(roots[0] - guess) - abs(roots[1] - guess)) < 1e-9:
+        raise AmbiguousRootError(
+            j,
+            name,
+            f"roots {roots[0]} and {roots[1]} are equidistant from warm start {guess}",
+        )
+    return roots[0]
 
 
 def _lift_values(part: WhitneyPartition, p, warm) -> list[float]:
     _check_length(p, part.reduced_dim, "reduced point")
-    if warm is not None:
-        _check_length(warm, len(part.order), "warm start")
-    compiled = part.compiled
+    _check_finite(p, "reduced point")
     if warm is None:
         vals = [0.0] * len(part.order)
     else:
+        _check_length(warm, len(part.order), "warm start")
         vals = np.asarray(warm, dtype=float).tolist()
+        _check_finite(vals, "warm start")
     for i, v in zip(part.retained, p):
         vals[i] = float(v)
+    stage_roots = part.compiled.stage_roots
     for j, yvar in enumerate(part.eliminated):
-        coeffs = compiled.stage_coeffs(j, vals)
-        name = part.order[yvar]
         guess = vals[yvar]
-        roots = _real_roots(coeffs, guess)
-        if roots is None:
-            raise AmbiguousRootError(
-                j, name, "constraint vanishes identically at this point"
-            )
-        if not roots:
-            if not all(map(math.isfinite, coeffs)):
-                raise OverflowError(f"lift stage {j} ({name}) has coefficients {coeffs}")
-            raise NoRealRootError(
-                j,
-                name,
-                f"'{part.g_circ[j]}' has coefficients {coeffs} in {name}",
-            )
-        roots.sort(key=lambda r: abs(r - guess))
-        if len(roots) > 1 and abs(abs(roots[0] - guess) - abs(roots[1] - guess)) < 1e-9:
-            raise AmbiguousRootError(
-                j,
-                name,
-                f"roots {roots[0]} and {roots[1]} are equidistant from "
-                f"warm start {guess}",
-            )
-        vals[yvar] = roots[0]
-        if not math.isfinite(roots[0]):
-            raise OverflowError(f"lift stage {j} ({name}) has root {roots[0]}")
+        roots = stage_roots(j, vals, guess)
+        if roots is not None and len(roots) == 1:
+            root = roots[0]  # the common case: no choice to make
+        else:
+            root = _nearest_root(part, j, vals, roots, guess)
+        if not math.isfinite(root):
+            raise OverflowError(f"lift stage {j} ({part.order[yvar]}) has root {root}")
+        vals[yvar] = root
     return vals
 
 
@@ -364,7 +272,8 @@ def lift(part: WhitneyPartition, p, warm=None) -> np.ndarray:
     :class:`NoRealRootError` / :class:`AmbiguousRootError`,
     ``OverflowError`` when a stage's chosen root is not finite or a stage
     with no real root has a coefficient that is not finite, and
-    ``ValueError`` when ``p`` or ``warm`` has the wrong length.
+    ``ValueError`` when ``p`` or ``warm`` has the wrong length or a
+    coordinate that is not finite.
     """
     return np.array(_lift_values(part, p, warm))
 
@@ -378,8 +287,8 @@ class PulledBackObjective:
     sheet by passing the lift it accepted.  Raises
     :class:`LiftError` when the lift fails, ``OverflowError`` when a
     stage leaves the float range and ``ValueError`` when ``p`` or ``warm``
-    has the wrong length; a polynomial objective past the float range reads
-    inf or nan.
+    has the wrong length or is not finite; a polynomial objective past the
+    float range reads inf or nan.
     """
 
     def __init__(self, objective, part: WhitneyPartition):

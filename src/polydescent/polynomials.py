@@ -4,7 +4,10 @@ A polynomial is a map from monomials to nonzero ``Fraction`` coefficients,
 relative to a fixed ordering of the variables.  All symbolic work (arithmetic,
 differentiation, the main-variable decomposition) stays exact; floating point
 enters only in :meth:`Polynomial.compile` and :meth:`Polynomial.evaluate`:
-the first builds a float term table, which :func:`eval_terms` evaluates.
+the first builds a float term table, which :func:`eval_terms` evaluates and
+:func:`straight_line` turns into generated code.  :func:`real_roots` and
+:class:`RootPlan` find the real roots of univariate float polynomials, the
+lift's stages.
 
 The canonical form stores no zero coefficients and no zero exponents, so two
 polynomials are equal exactly when their term maps are equal, and the printed
@@ -17,7 +20,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 
 class ParseError(ValueError):
@@ -64,6 +67,53 @@ def eval_terms(terms: Terms, vals: Sequence[float]) -> float:
                 c *= math.copysign(math.inf, vals[i]) ** e
         total += c
     return total
+
+
+# a longer sum nests deeper than the compiler's recursion limit allows
+_LINE_TERMS = 500
+
+
+def _line(terms: Terms) -> str:
+    # '0.0 + (c*v[i]**e*v[j]**f) + ...' associates as eval_terms sums and
+    # multiplies; v[i]**1 is v[i] for every float, so it is left out
+    products = (
+        "*".join([repr(c)] + [f"v[{i}]**{e}" if e > 1 else f"v[{i}]" for i, e in facs])
+        for c, facs in terms
+    )
+    return " + ".join(["0.0", *(f"({p})" for p in products)])
+
+
+def straight_line(
+    groups: Sequence[Sequence[Terms]],
+) -> list[Callable[[Sequence[float]], list[float]]]:
+    """One function per group of tables, ``vals -> [eval_terms(t, vals) for t in group]``.
+
+    Each table becomes one generated expression over float literals and
+    ``v[index]``; all of them are compiled in one call, and their values
+    equal :func:`eval_terms`' bit for bit.  A power past the float range
+    raises in that code, and the group is then evaluated by
+    :func:`eval_terms`, which saturates it.  A group holding a table of more
+    than 500 terms is always evaluated by :func:`eval_terms`.
+    """
+    fits = [all(len(t) <= _LINE_TERMS for t in g) for g in groups]
+    source = "".join(
+        f"lambda v: [{', '.join(map(_line, g))}]," for g, ok in zip(groups, fits) if ok
+    )
+    code = compile(f"({source})", "<straight-line tables>", "eval")
+    codes = iter(eval(code, {"inf": math.inf}))
+    return [_with_fallback(next(codes) if ok else None, g) for g, ok in zip(groups, fits)]
+
+
+def _with_fallback(code, tables):
+    def evaluate_tables(vals):
+        if code is not None:
+            try:
+                return code(vals)
+            except OverflowError:
+                pass
+        return [eval_terms(t, vals) for t in tables]
+
+    return evaluate_tables
 
 
 # float() rounds a magnitude from here on up to 2**1024, and raises
@@ -313,6 +363,129 @@ class Polynomial:
 
     def __hash__(self) -> int:
         return hash((self.order, frozenset(self.terms.items())))
+
+
+# -- real roots of univariate float polynomials (the lift's stages) ---------
+
+
+def _horner(coeffs: list[float], y: float) -> float:
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * y + c
+    return acc
+
+
+def _bracketed_newton(
+    coeffs: list[float],
+    dcoeffs: list[float],
+    lo: float,
+    hi: float,
+    fhi_pos: bool,
+    guess: float,
+) -> float:
+    """The root in (lo, hi); the polynomial is positive at ``hi`` iff ``fhi_pos``.
+
+    Starts at ``guess`` when it lies strictly inside the bracket (the warm
+    start's value: a continuation step away from the root), else at the
+    midpoint; a NaN guess lies inside none.  Newton steps are taken while
+    they stay inside the bracket, falling back to bisection otherwise; the
+    bracket shrinks every iteration.  Stops on an exact zero, at an iterate
+    whose Newton step is below 2e-16 relative, or once no float lies
+    strictly inside the bracket, so there is no iteration cap to run into.
+    The iterate is returned without that last step, so a root the step rule
+    returned is returned again when polished from itself.
+    """
+    x = guess if lo < guess < hi else 0.5 * (lo + hi)
+    while lo < x < hi:
+        f = _horner(coeffs, x)
+        if f == 0.0:
+            return x
+        if (f > 0.0) == fhi_pos:
+            hi = x
+        else:
+            lo = x
+        df = _horner(dcoeffs, x)
+        step = f / df if df != 0.0 else math.inf
+        if abs(step) <= 2e-16 * abs(x):
+            return x
+        x -= step
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+    return x
+
+
+def real_roots(coeffs: list[float], guess: float = math.nan) -> list[float] | None:
+    """All real roots of odd multiplicity, ascending; None if identically zero.
+
+    ``coeffs`` run from the lowest power up.  Each root in a bracket
+    containing ``guess`` is polished from it (see :func:`_bracketed_newton`);
+    the others from their bracket's midpoint.
+
+    The polynomial is monotone between consecutive real roots of its
+    derivative, so those roots (found by recursion down to the linear closed
+    form), closed at both ends by Fujiwara's root bound, cut the line into
+    intervals holding at most one root each.  Every interval whose ends
+    differ in sign is closed with :func:`_bracketed_newton`.  Roots of even
+    multiplicity produce no sign change and are found only where the value
+    at a critical point is exactly zero; at such points the implicit function
+    theorem fails anyway.  Past the degree, the work is :meth:`RootPlan.roots`.
+    """
+    d = len(coeffs) - 1
+    while d >= 0 and coeffs[d] == 0.0:
+        d -= 1
+    if d < 0:
+        return None
+    if d == 0:
+        return []
+    return RootPlan(coeffs[1 : d + 1]).roots(coeffs[0], guess)
+
+
+class RootPlan:
+    """:func:`real_roots` of ``c0 + tail[0] y + ... + tail[-1] y^d``, for any ``c0``.
+
+    What does not depend on ``c0`` is computed once, here: the derivative's
+    coefficients, its real roots (the critical points) and the Fujiwara
+    terms of ``tail``.  ``tail[-1]`` must be nonzero.  A lift stage whose
+    coefficients above power 0 are the same at every point keeps one plan.
+    """
+
+    __slots__ = ("tail", "dcoeffs", "critical", "k0", "lead_k0", "ratio")
+
+    def __init__(self, tail: list[float]):
+        d = len(tail)
+        coeffs = [0.0, *tail]
+        self.tail = tail
+        self.dcoeffs = [coeffs[e] * e for e in range(1, d + 1)]
+        self.critical = real_roots(self.dcoeffs) if d > 1 else []
+        # Fujiwara's bound; each |c_i / c_d|^(1/(d-i)) is a ratio of roots so it
+        # cannot overflow where the root is representable.  Their maximum
+        # takes the i = 0 term in roots(); a NaN term is never the maximum
+        lead = abs(tail[-1])
+        self.k0 = 1.0 / d
+        self.lead_k0 = lead**self.k0
+        ratio = 0.0
+        for i in range(1, d):
+            k = 1.0 / (d - i)
+            r = abs(coeffs[i]) ** k / lead**k
+            if r > ratio:
+                ratio = r
+        self.ratio = ratio
+
+    def roots(self, c0: float, guess: float = math.nan) -> list[float]:
+        """The real roots at ``c0``, ascending, polished from ``guess``."""
+        coeffs = [c0, *self.tail]
+        if len(coeffs) == 2:
+            return [-c0 / coeffs[1]]
+        r = abs(c0) ** self.k0 / self.lead_k0
+        bound = 1.0 + 2.0 * (r if r > self.ratio else self.ratio)
+        knots = [-bound, *self.critical, bound]
+        vals = [_horner(coeffs, x) for x in knots]
+        roots = [x for x, f in zip(knots, vals) if f == 0.0]
+        for lo, hi, flo, fhi in zip(knots, knots[1:], vals, vals[1:]):
+            if flo < 0.0 < fhi or fhi < 0.0 < flo:
+                root = _bracketed_newton(coeffs, self.dcoeffs, lo, hi, fhi > 0.0, guess)
+                roots.append(root)
+        return sorted(roots)
 
 
 # -- parsing ---------------------------------------------------------------

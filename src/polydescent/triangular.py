@@ -10,13 +10,22 @@ variables for the optimizer to walk on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .polynomials import Polynomial, Terms, VariableOrder, eval_terms
+from .polynomials import (
+    Polynomial,
+    RootPlan,
+    Terms,
+    VariableOrder,
+    eval_terms,
+    real_roots,
+    straight_line,
+)
 
 
 class ConstantMemberError(ValueError):
@@ -125,6 +134,11 @@ class WhitneyPartition:
         return CompiledSystem(self)
 
 
+# residual calls before their code is generated: about where its compile
+# pays for itself, and more than a set-up's start projection makes
+_HOT_CALLS = 50
+
+
 class CompiledSystem:
     """Float term tables for a partition's constraints and their derivatives.
 
@@ -132,15 +146,24 @@ class CompiledSystem:
     exact-rational term maps each time is needless overhead, so every float
     evaluation of a partition reads these tables with plain Python floats.
     ``residuals``, ``jacobian`` and ``hessians`` take reduced coordinates
-    (one value per retained variable); ``stage_coeffs`` takes an ambient
-    point.  ``hessians`` evaluates only the nonzero second partials, whose
-    tables are compiled on first use.
+    (one value per retained variable); ``stage_coeffs`` and ``stage_roots``
+    take an ambient point.  ``hessians`` evaluates only the nonzero second
+    partials, whose tables are compiled on first use.
+
+    The hot paths run generated code (:func:`straight_line`), built when
+    they turn hot, not at set-up: ``residuals`` at its 50th call, and the
+    stage plans at the first ``stage_roots``, the first lift.  A stage whose
+    coefficients above power 0 are constants, with a finite nonzero lead,
+    gets a :class:`RootPlan`, so each of its root solves evaluates only its
+    constant coefficient.
     """
 
     def __init__(self, part: WhitneyPartition):
         self._retained = part.retained
         self._red_of = {v: i for i, v in enumerate(part.retained)}
         self._g_star = [p.compile(self._red_of) for p in part.g_star]
+        self._residual_code = None
+        self._cold_calls = 0
         # exact first partials, kept to derive the Hessian tables from
         self._partials = [[p.derivative(v) for v in part.retained] for p in part.g_star]
         self._jac = [[dp.compile(self._red_of) for dp in row] for row in self._partials]
@@ -167,8 +190,17 @@ class CompiledSystem:
         ]
 
     def residuals(self, vals) -> list[float]:
-        """Values of the retained constraints."""
-        return [eval_terms(t, vals) for t in self._g_star]
+        """Values of the retained constraints.
+
+        The first calls read the tables with :func:`eval_terms`; from the
+        50th on, code generated once (:func:`straight_line`) serves them.
+        """
+        if self._residual_code is None:
+            self._cold_calls += 1
+            if self._cold_calls < _HOT_CALLS:
+                return [eval_terms(t, vals) for t in self._g_star]
+            self._residual_code = straight_line([self._g_star])[0]
+        return self._residual_code(vals)
 
     def jacobian(self, vals) -> np.ndarray:
         """Retained-constraint Jacobian, one row per constraint."""
@@ -185,6 +217,34 @@ class CompiledSystem:
     def stage_coeffs(self, j: int, vals) -> list[float]:
         """Coefficients of ``g_circ[j]`` in ``eliminated[j]``, lowest power first."""
         return [eval_terms(t, vals) for t in self._stages[j]]
+
+    @cached_property
+    def _plans(self) -> list[tuple[RootPlan, Callable] | None]:
+        # (plan, code for the constant coefficient) of each stage whose tables
+        # above power 0 hold no factors and whose lead is finite and nonzero
+        tails = {}
+        for j, tables in enumerate(self._stages):
+            if all(not facs for t in tables[1:] for _, facs in t):
+                tail = [eval_terms(t, ()) for t in tables[1:]]
+                if math.isfinite(tail[-1]) and tail[-1] != 0.0:
+                    tails[j] = tail
+        codes = straight_line([[self._stages[j][0]] for j in tails])
+        plans: list[tuple[RootPlan, Callable] | None] = [None] * len(self._stages)
+        for (j, tail), c0 in zip(tails.items(), codes):
+            plans[j] = RootPlan(tail), c0
+        return plans
+
+    def stage_roots(self, j: int, vals, guess: float = math.nan) -> list[float] | None:
+        """``real_roots(self.stage_coeffs(j, vals), guess)``, bit for bit.
+
+        A planned stage evaluates only its constant coefficient and hands it
+        to its :class:`RootPlan`, which is what :func:`real_roots` runs too.
+        """
+        plan = self._plans[j]
+        if plan is None:
+            return real_roots(self.stage_coeffs(j, vals), guess)
+        root_plan, c0 = plan
+        return root_plan.roots(c0(vals)[0], guess)
 
 
 def _real_root_guaranteed(p: Polynomial) -> bool:

@@ -357,6 +357,32 @@ class TestWrongLength:
             project_to_manifold(frame, [0.0], start=start)
 
 
+class TestNonFinite:
+    """The lift and the pullback refuse a point or a warm start that is not finite."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_warm_start(self, bad):
+        # z^3 - 3z - x has three roots at x = 0.8; a warm value that is not
+        # finite lies in no bracket and used to fall to the lowest root,
+        # -1.579, where no warm start gives -0.273
+        part = _partition(["x", "z"], ["x - 4/5", "z^3 - 3*z - x"], eliminate_names=["z"])
+        assert lift(part, [0.8])[1] == pytest.approx(-0.27348502, abs=1e-8)
+        pullback = PulledBackObjective(parse_polynomial("z", part.order), part)
+        for fn in (lambda p, warm: lift(part, p, warm), pullback):
+            with pytest.raises(ValueError, match="warm start has a coordinate that is not"):
+                fn([0.8], [0.8, bad])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_reduced_point(self, bad):
+        # no stage reads u, so a value that is not finite there used to pass
+        # into the ambient result
+        part = _partition(["u", "x", "y"], ["x - u", "y - x"], eliminate_names=["y"])
+        assert lift(part, [1.0, 1.0]).tolist() == [1.0, 1.0, 1.0]
+        for fn in (lift, ftilde):
+            with pytest.raises(ValueError, match="reduced point has a coordinate that is not"):
+                fn(part, [bad, 1.0])
+
+
 class TestPullback:
     def test_height_objective(self, curve3):
         f = parse_polynomial("y", curve3.order)

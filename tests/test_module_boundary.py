@@ -5,7 +5,8 @@ is owned by ``triangular.py``: other modules read ``WhitneyPartition``
 (including its ``compiled`` form) but never attach attributes to it.
 ``PulledBackObjective.__call__`` keeps no state: it sets no attribute of
 ``self``, so a call depends on its arguments alone.  The float range is
-decided in one place: ``eval_terms`` saturates a power past it, and only
+decided in one place: ``eval_terms`` saturates a power past it, generated
+table code hands a power that raises to ``eval_terms``, and only
 ``descend`` catches the ``OverflowError`` the lift raises on purpose.  Only
 ``polynomials.py`` reads a polynomial's exact form (``.terms``, ``.exps``);
 every other module works from its compiled float tables.
@@ -135,7 +136,10 @@ def tables(p, y):
 
 
 # each function that may catch OverflowError, by module
-OVERFLOW_HANDLERS = {"polynomials.py": ["eval_terms"], "descent.py": ["descend"]}
+OVERFLOW_HANDLERS = {
+    "polynomials.py": ["eval_terms", "evaluate_tables"],
+    "descent.py": ["descend"],
+}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -10,16 +10,15 @@ from hypothesis import given, settings, strategies as st
 from numpy.polynomial.polynomial import polymul
 
 from conftest import manifold_start, random_system, random_tower
-from polydescent import geometry
+from polydescent import polynomials
 from polydescent.geometry import (
     LiftError,
     NotRegularError,
-    _critical_points,
-    _real_roots,
     lift,
     project_to_manifold,
     tangent_frame,
 )
+from polydescent.polynomials import RootPlan, real_roots
 
 EPS = sys.float_info.epsilon
 
@@ -39,7 +38,7 @@ def test_finds_exactly_the_real_factors_roots(seed):
         coeffs = polymul(coeffs, [a * a + b * b, -2.0 * a, 1.0])
     coeffs = [float(c) for c in coeffs]
 
-    roots = _real_roots(coeffs)
+    roots = real_roots(coeffs)
     assert len(roots) == len(real)
     for r, expected in zip(roots, real):
         assert math.isfinite(r)
@@ -54,27 +53,28 @@ def test_finds_exactly_the_real_factors_roots(seed):
 def test_root_at_a_critical_point():
     # no sign change brackets these roots; they are found because the value
     # at the critical point is exactly zero
-    assert _real_roots([0.0, 0.0, 0.0, 1.0]) == [0.0]
-    assert _real_roots([1.0, -2.0, 1.0]) == [1.0]
-    assert _real_roots([0.0, 0.0]) is None
+    assert real_roots([0.0, 0.0, 0.0, 1.0]) == [0.0]
+    assert real_roots([1.0, -2.0, 1.0]) == [1.0]
+    assert real_roots([0.0, 0.0]) is None
 
 
-def test_remembered_critical_points_leave_results_unchanged():
+def test_remembered_critical_points_leave_results_unchanged(monkeypatch):
     # the curve's stage y^5 + c has the derivative 5*y^4 at every point, so
-    # the second solve reads its critical points from the cache
-    first = _real_roots([0.5, 0.0, 0.0, 0.0, 0.0, 1.0])
-    hits = _critical_points.cache_info().hits
+    # its plan finds the critical points once and each solve only reads them
+    plan = RootPlan([0.0, 0.0, 0.0, 0.0, 1.0])
+    monkeypatch.setattr(polynomials, "real_roots", None)  # a call would fail
+    first = plan.roots(0.5)
     first.append(99.0)
-    second = _real_roots([0.5, 0.0, 0.0, 0.0, 0.0, 1.0])
-    assert _critical_points.cache_info().hits > hits
-    assert second == first[:-1]
+    second = plan.roots(0.5)
+    monkeypatch.undo()
+    assert second == first[:-1] == real_roots([0.5, 0.0, 0.0, 0.0, 0.0, 1.0])
     assert len(second) == 1 and abs(second[0] ** 5 + 0.5) <= 8 * EPS
 
 
 def test_root_bound_does_not_overflow():
     # the leading and constant coefficients are each representable, and so
     # is the root -1e200, but their plain ratio 1e600 is not
-    roots = _real_roots([1e300, 0.0, 0.0, 1e-300])
+    roots = real_roots([1e300, 0.0, 0.0, 1e-300])
     assert len(roots) == 1 and abs(roots[0] / -1e200 - 1.0) <= 4 * EPS
 
 
@@ -83,12 +83,11 @@ def test_polish_starts_near_a_far_root(monkeypatch):
     # point 0; from far outside the root, Newton on y^3 + c closes in by only
     # a factor 2/3 per step, so the bound must be near |root| = 1e30
     calls = []
-    horner = geometry._horner
+    horner = polynomials._horner
     monkeypatch.setattr(
-        geometry, "_horner", lambda coeffs, y: calls.append(y) or horner(coeffs, y)
+        polynomials, "_horner", lambda coeffs, y: calls.append(y) or horner(coeffs, y)
     )
-    _critical_points.cache_clear()
-    roots = _real_roots([1e90, 0.0, 0.0, 1.0])
+    roots = real_roots([1e90, 0.0, 0.0, 1.0])
     assert len(roots) == 1 and abs(roots[0] / -1e30 - 1.0) <= 4 * EPS
     assert len(calls) <= 20
 
@@ -131,7 +130,7 @@ def test_a_guess_moves_roots_by_a_few_ulps_at_most(seed):
     # relative, under 2 ulps from the root to first order, so the polish
     # from a guess and the one from the midpoint end within 4 ulps
     for coeffs, guess in _stage_polynomials(random.Random(seed)):
-        cold, warm = _real_roots(coeffs), _real_roots(coeffs, guess)
+        cold, warm = real_roots(coeffs), real_roots(coeffs, guess)
         assert len(warm) == len(cold)
         for a, b in zip(cold, warm):
             assert abs(a - b) <= 4 * math.ulp(max(abs(a), abs(b)))
@@ -143,9 +142,9 @@ def test_a_guess_outside_every_bracket_changes_nothing(seed):
     # beyond the root bound, infinite or NaN, the guess lies strictly inside
     # no bracket, so every polish starts at its midpoint as without one
     for coeffs, _ in _stage_polynomials(random.Random(seed)):
-        cold = [r.hex() for r in _real_roots(coeffs)]
+        cold = [r.hex() for r in real_roots(coeffs)]
         for guess in (math.nan, math.inf, -math.inf, 1e300, -1e300):
-            assert [r.hex() for r in _real_roots(coeffs, guess)] == cold
+            assert [r.hex() for r in real_roots(coeffs, guess)] == cold
 
 
 def test_a_polish_from_its_own_root_returns_it():
@@ -154,8 +153,8 @@ def test_a_polish_from_its_own_root_returns_it():
     rng = random.Random(11)
     for _ in range(20):
         for coeffs, _ in _stage_polynomials(rng):
-            for r in _real_roots(coeffs):
-                assert r in _real_roots(coeffs, r)
+            for r in real_roots(coeffs):
+                assert r in real_roots(coeffs, r)
 
 
 def test_a_warm_tower_lift_evaluates_less(monkeypatch):
@@ -166,13 +165,13 @@ def test_a_warm_tower_lift_evaluates_less(monkeypatch):
     part = random_tower(rng, 12, 2)
     start = manifold_start(part, rng)
     frame = tangent_frame(part, start)
-    warm = lift(part, start)  # also fills the critical-point cache
+    warm = lift(part, start)  # also builds the stage plans
     steps = [[rng.gauss(0.0, 0.02) for _ in range(2)] for _ in range(20)]
     points = [project_to_manifold(frame, w) for w in steps]
 
     calls = []
-    horner = geometry._horner
-    monkeypatch.setattr(geometry, "_horner", lambda c, y: calls.append(y) or horner(c, y))
+    horner = polynomials._horner
+    monkeypatch.setattr(polynomials, "_horner", lambda c, y: calls.append(y) or horner(c, y))
 
     def evaluations():
         calls.clear()
@@ -180,7 +179,8 @@ def test_a_warm_tower_lift_evaluates_less(monkeypatch):
         return len(calls), lifts
 
     guided, lifts = evaluations()
-    monkeypatch.setattr(geometry, "_real_roots", lambda coeffs, guess: _real_roots(coeffs))
+    planned = RootPlan.roots
+    monkeypatch.setattr(RootPlan, "roots", lambda plan, c0, guess: planned(plan, c0))
     withheld, cold_lifts = evaluations()
     assert guided < 0.8 * withheld
     for a, b in zip(lifts, cold_lifts):
