@@ -13,6 +13,7 @@ accepted point, is reported as not converged.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -63,6 +64,12 @@ class DescentConfig:
             raise ValueError("need 0 < alpha0 <= alpha_max with alpha0 finite")
         if self.c_forcing is not None and not 0 < self.c_forcing < math.inf:
             raise ValueError("c_forcing must be positive and finite")
+        for name in ("j_max", "seed"):
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.j_max < 0:
             raise ValueError("j_max must be nonnegative")
         if self.seed < 0:
@@ -116,8 +123,13 @@ def check_convergence(trace: DescentTrace | Iterable[TraceRecord], window: int) 
     """True when the base point held still and the step size died down.
 
     Checks that no re-base happened in the final ``window`` iterations and
-    that the last step size fell below 1e-8.  ``window`` must be at least 1.
+    that the last step size fell below 1e-8.  ``window`` must be an integer
+    of at least 1.
     """
+    try:
+        operator.index(window)
+    except TypeError:
+        raise ValueError(f"window must be an integer, got {window!r}") from None
     if window < 1:
         raise ValueError(f"window must be at least 1, got {window}")
     records = trace.records if isinstance(trace, DescentTrace) else list(trace)

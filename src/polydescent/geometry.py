@@ -16,12 +16,13 @@ variable order.  Three mechanisms live here:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from operator import mul
 
 import numpy as np
 
-from .polynomials import Polynomial, eval_terms
+from .polynomials import Polynomial, evaluator
 from .triangular import WhitneyPartition
 
 
@@ -64,6 +65,10 @@ class ProjectionConfig:
     oracle_radius: float = 0.5
 
     def __post_init__(self):
+        try:
+            operator.index(self.max_iters)
+        except TypeError:
+            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}") from None
         positive = self.max_iters > 0 and self.oracle_radius > 0
         if not (positive and 0 < self.residual_tol < math.inf):
             raise ValueError("all projection parameters must be positive, residual_tol finite")
@@ -296,8 +301,8 @@ class PulledBackObjective:
         if isinstance(objective, Polynomial):
             if objective.order != part.order:
                 raise ValueError("objective uses a different variable order")
-            terms = objective.compile()
-            self._fn = lambda vals: eval_terms(terms, vals)
+            evaluate = evaluator([objective.compile()])
+            self._fn = lambda vals: evaluate(vals)[0]
         else:
             self._fn = lambda vals: float(objective(np.array(vals)))
 

@@ -5,9 +5,9 @@ relative to a fixed ordering of the variables.  All symbolic work (arithmetic,
 differentiation, the main-variable decomposition) stays exact; floating point
 enters only in :meth:`Polynomial.compile` and :meth:`Polynomial.evaluate`:
 the first builds a float term table, which :func:`eval_terms` evaluates and
-:func:`straight_line` turns into generated code.  :func:`real_roots` and
-:class:`RootPlan` find the real roots of univariate float polynomials, the
-lift's stages.
+:func:`evaluator` turns into generated code once a set of tables runs hot.
+:func:`real_roots` and :class:`RootPlan` find the real roots of univariate
+float polynomials, the lift's stages.
 
 The canonical form stores no zero coefficients and no zero exponents, so two
 polynomials are equal exactly when their term maps are equal, and the printed
@@ -83,35 +83,37 @@ def _line(terms: Terms) -> str:
     return " + ".join(["0.0", *(f"({p})" for p in products)])
 
 
-def straight_line(
-    groups: Sequence[Sequence[Terms]],
-) -> list[Callable[[Sequence[float]], list[float]]]:
-    """One function per group of tables, ``vals -> [eval_terms(t, vals) for t in group]``.
+# calls that read the tables before their code is generated: about where a
+# compile pays for itself, and more than a set-up's start projection makes
+_HOT_CALLS = 50
 
-    Each table becomes one generated expression over float literals and
-    ``v[index]``; all of them are compiled in one call, and their values
-    equal :func:`eval_terms`' bit for bit.  A power past the float range
-    raises in that code, and the group is then evaluated by
-    :func:`eval_terms`, which saturates it.  A group holding a table of more
-    than 500 terms is always evaluated by :func:`eval_terms`.
+
+def evaluator(tables: Sequence[Terms]) -> Callable[[Sequence[float]], list[float]]:
+    """``vals -> [eval_terms(t, vals) for t in tables]``, bit for bit.
+
+    The first 49 calls read the tables with :func:`eval_terms`.  The 50th
+    generates one expression per table over float literals and
+    ``v[index]``, with :func:`eval_terms`' association, and that code serves
+    every later call.  A power past the float range raises in it, and the
+    call is then read from the tables, which saturate it.  A set holding a
+    table of more than 500 terms is always read from the tables.
     """
-    fits = [all(len(t) <= _LINE_TERMS for t in g) for g in groups]
-    source = "".join(
-        f"lambda v: [{', '.join(map(_line, g))}]," for g, ok in zip(groups, fits) if ok
-    )
-    code = compile(f"({source})", "<straight-line tables>", "eval")
-    codes = iter(eval(code, {"inf": math.inf}))
-    return [_with_fallback(next(codes) if ok else None, g) for g, ok in zip(groups, fits)]
+    fits = all(len(t) <= _LINE_TERMS for t in tables)
+    code = None
+    calls = 0
 
-
-def _with_fallback(code, tables):
     def evaluate_tables(vals):
-        if code is not None:
-            try:
-                return code(vals)
-            except OverflowError:
-                pass
-        return [eval_terms(t, vals) for t in tables]
+        nonlocal code, calls
+        if code is None:
+            calls += 1
+            if calls < _HOT_CALLS or not fits:
+                return [eval_terms(t, vals) for t in tables]
+            source = f"lambda v: [{', '.join(map(_line, tables))}]"
+            code = eval(compile(source, "<straight-line tables>", "eval"), {"inf": math.inf})
+        try:
+            return code(vals)
+        except OverflowError:
+            return [eval_terms(t, vals) for t in tables]
 
     return evaluate_tables
 

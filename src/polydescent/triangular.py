@@ -17,15 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .polynomials import (
-    Polynomial,
-    RootPlan,
-    Terms,
-    VariableOrder,
-    eval_terms,
-    real_roots,
-    straight_line,
-)
+from .polynomials import Polynomial, RootPlan, Terms, VariableOrder, evaluator, real_roots
 
 
 class ConstantMemberError(ValueError):
@@ -134,11 +126,6 @@ class WhitneyPartition:
         return CompiledSystem(self)
 
 
-# residual calls before their code is generated: about where its compile
-# pays for itself, and more than a set-up's start projection makes
-_HOT_CALLS = 50
-
-
 class CompiledSystem:
     """Float term tables for a partition's constraints and their derivatives.
 
@@ -150,23 +137,25 @@ class CompiledSystem:
     take an ambient point.  ``hessians`` evaluates only the nonzero second
     partials, whose tables are compiled on first use.
 
-    The hot paths run generated code (:func:`straight_line`), built when
-    they turn hot, not at set-up: ``residuals`` at its 50th call, and the
-    stage plans at the first ``stage_roots``, the first lift.  A stage whose
-    coefficients above power 0 are constants, with a finite nonzero lead,
-    gets a :class:`RootPlan`, so each of its root solves evaluates only its
-    constant coefficient.
+    Each set of tables (the residuals, the Jacobian, the Hessians, each
+    stage's coefficients and each planned stage's constant coefficient) is
+    evaluated by its own :func:`evaluator`, which generates code for it at
+    its 50th call, so set-up generates none.  On the first lift, a stage
+    whose coefficients above power 0 are constants, with a finite nonzero
+    lead, gets a :class:`RootPlan`, so each of its root solves evaluates
+    only its constant coefficient.
     """
 
     def __init__(self, part: WhitneyPartition):
         self._retained = part.retained
         self._red_of = {v: i for i, v in enumerate(part.retained)}
-        self._g_star = [p.compile(self._red_of) for p in part.g_star]
-        self._residual_code = None
-        self._cold_calls = 0
+        # values of the retained constraints, at reduced coordinates
+        self.residuals = evaluator([p.compile(self._red_of) for p in part.g_star])
         # exact first partials, kept to derive the Hessian tables from
         self._partials = [[p.derivative(v) for v in part.retained] for p in part.g_star]
-        self._jac = [[dp.compile(self._red_of) for dp in row] for row in self._partials]
+        self._jac = evaluator(
+            [dp.compile(self._red_of) for row in self._partials for dp in row]
+        )
         # stage j: one table per power of eliminated[j], grouping that power's
         # terms in term order so each coefficient sums as the polynomial does;
         # eliminated[j] is the main variable, so a term's factor in it is last
@@ -177,61 +166,49 @@ class CompiledSystem:
                 e = facs[-1][1] if facs and facs[-1][0] == y else 0
                 tables[e].append((c, facs[:-1] if e else facs))
             self._stages.append(tables)
+        self._stage_coeffs = [evaluator(tables) for tables in self._stages]
 
     @cached_property
-    def _hess(self) -> list[tuple[int, int, int, Terms]]:
-        # (c, a, b, table) for each nonzero d2 g_c / dv_a dv_b with b >= a
-        return [
-            (c, a, b, t)
-            for c, row in enumerate(self._partials)
-            for a, da in enumerate(row)
-            for b, vb in enumerate(self._retained[a:], a)
-            if (t := da.derivative(vb).compile(self._red_of))
-        ]
-
-    def residuals(self, vals) -> list[float]:
-        """Values of the retained constraints.
-
-        The first calls read the tables with :func:`eval_terms`; from the
-        50th on, code generated once (:func:`straight_line`) serves them.
-        """
-        if self._residual_code is None:
-            self._cold_calls += 1
-            if self._cold_calls < _HOT_CALLS:
-                return [eval_terms(t, vals) for t in self._g_star]
-            self._residual_code = straight_line([self._g_star])[0]
-        return self._residual_code(vals)
+    def _hess(self) -> tuple[list[tuple[int, int, int]], Callable]:
+        # (c, a, b) of each nonzero d2 g_c / dv_a dv_b with b >= a, and the
+        # evaluator of their tables
+        slots, tables = [], []
+        for c, row in enumerate(self._partials):
+            for a, da in enumerate(row):
+                for b, vb in enumerate(self._retained[a:], a):
+                    if t := da.derivative(vb).compile(self._red_of):
+                        slots.append((c, a, b))
+                        tables.append(t)
+        return slots, evaluator(tables)
 
     def jacobian(self, vals) -> np.ndarray:
         """Retained-constraint Jacobian, one row per constraint."""
-        return np.array([[eval_terms(t, vals) for t in row] for row in self._jac])
+        return np.array(self._jac(vals)).reshape(len(self._partials), len(self._retained))
 
     def hessians(self, vals) -> np.ndarray:
         """H[c, a, b]: second partials of retained constraint c."""
         d = len(self._retained)
-        H = np.zeros((len(self._g_star), d, d))
-        for c, a, b, t in self._hess:
-            H[c, a, b] = H[c, b, a] = eval_terms(t, vals)
+        H = np.zeros((len(self._partials), d, d))
+        slots, evaluate = self._hess
+        for (c, a, b), h in zip(slots, evaluate(vals)):
+            H[c, a, b] = H[c, b, a] = h
         return H
 
     def stage_coeffs(self, j: int, vals) -> list[float]:
         """Coefficients of ``g_circ[j]`` in ``eliminated[j]``, lowest power first."""
-        return [eval_terms(t, vals) for t in self._stages[j]]
+        return self._stage_coeffs[j](vals)
 
     @cached_property
     def _plans(self) -> list[tuple[RootPlan, Callable] | None]:
-        # (plan, code for the constant coefficient) of each stage whose tables
-        # above power 0 hold no factors and whose lead is finite and nonzero
-        tails = {}
+        # (plan, evaluator of the constant coefficient) of each stage whose
+        # tables above power 0 hold no factors and whose lead is finite and
+        # nonzero
+        plans: list[tuple[RootPlan, Callable] | None] = [None] * len(self._stages)
         for j, tables in enumerate(self._stages):
             if all(not facs for t in tables[1:] for _, facs in t):
-                tail = [eval_terms(t, ()) for t in tables[1:]]
+                tail = evaluator(tables[1:])(())
                 if math.isfinite(tail[-1]) and tail[-1] != 0.0:
-                    tails[j] = tail
-        codes = straight_line([[self._stages[j][0]] for j in tails])
-        plans: list[tuple[RootPlan, Callable] | None] = [None] * len(self._stages)
-        for (j, tail), c0 in zip(tails.items(), codes):
-            plans[j] = RootPlan(tail), c0
+                    plans[j] = RootPlan(tail), evaluator(tables[:1])
         return plans
 
     def stage_roots(self, j: int, vals, guess: float = math.nan) -> list[float] | None:

@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_partition
-import polydescent.triangular as triangular
+from polydescent import polynomials
 from polydescent.geometry import LiftError, lift
 from polydescent.polynomials import Polynomial, VariableOrder, eval_terms, parse_polynomial
 from polydescent.triangular import validate_triangular, whitney_partition
@@ -112,18 +112,19 @@ def test_non_prefix_retained_set():
 
 def test_hessians_evaluate_only_nonzero_second_partials(monkeypatch):
     # 2 constraints over 5 retained variables have 30 upper-triangle second
-    # partials; only d2/du dv of the first and d2/dw^2 of the second are nonzero
+    # partials; only d2/du dv of the first and d2/dw^2 of the second are
+    # nonzero, and a cold call reads only their tables
     order = VariableOrder(["u", "v", "w", "x", "y"])
     polys = [parse_polynomial(t, order) for t in ("x - u*v", "y - w^2 + u")]
     part = whitney_partition(validate_triangular(polys, order), eliminate=[])
     calls = []
-    real_eval_terms = triangular.eval_terms
+    real_eval_terms = polynomials.eval_terms
 
     def counting_eval_terms(terms, vals):
         calls.append(terms)
         return real_eval_terms(terms, vals)
 
-    monkeypatch.setattr(triangular, "eval_terms", counting_eval_terms)
+    monkeypatch.setattr(polynomials, "eval_terms", counting_eval_terms)
     H = part.compiled.hessians([0.5, -1.0, 2.0, 0.3, 0.7])
     assert len(calls) == 2
     expected = np.zeros((2, 5, 5))

@@ -526,6 +526,14 @@ class TestCheckConvergence:
         with pytest.raises(ValueError, match="window must be at least 1"):
             check_convergence(self._trace(records), window=window)
 
+    @pytest.mark.parametrize("window", [2.5, 2.0, "2", None])
+    def test_window_must_be_an_integer(self, window):
+        # a float passes the gate and then fails as a slice index
+        records = [TraceRecord(j, 0.25 * 0.5**j, 1.0, UNSUCCESSFUL, (0.0,)) for j in range(40)]
+        with pytest.raises(ValueError, match="window must be an integer"):
+            check_convergence(self._trace(records), window=window)
+        assert check_convergence(self._trace(records), window=np.int64(2))
+
 
 class TestConfigValidation:
     def test_bad_alpha(self):
@@ -554,6 +562,26 @@ class TestConfigValidation:
     def test_negative_count(self, field):
         with pytest.raises(ValueError, match=field):
             DescentConfig(alpha0=0.1, **{field: -1})
+
+    @pytest.mark.parametrize("value", [2.5, 2.0, "2", None])
+    @pytest.mark.parametrize("field", ["j_max", "seed"])
+    def test_count_must_be_an_integer(self, field, value):
+        # range() and SeedSequence would raise a bare TypeError inside descend
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            DescentConfig(alpha0=0.25, **{field: value})
+
+    @pytest.mark.parametrize("value", [2.5, 2.0, "2", None])
+    def test_projection_iterations_must_be_an_integer(self, value):
+        # load_problem's start projection would fail with a bare TypeError
+        with pytest.raises(ValueError, match="max_iters must be an integer"):
+            ProjectionConfig(max_iters=value)
+
+    def test_numpy_integers_are_counts(self, curve3):
+        n = np.int64(3)
+        cfg = DescentConfig(alpha0=0.25, j_max=n, seed=n, projection=ProjectionConfig(max_iters=n))
+        f = parse_polynomial("y", curve3.order)
+        trace = descend(DescentProblem(curve3, f, np.array([0.0, 1.0])), cfg)
+        assert len(trace.records) == 3
 
     @pytest.mark.parametrize("start", [[0.0], [0.0, 1.0, 0.0], [[0.0, 1.0]]])
     def test_start_of_the_wrong_shape(self, curve3, start):

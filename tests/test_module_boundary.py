@@ -9,7 +9,9 @@ decided in one place: ``eval_terms`` saturates a power past it, generated
 table code hands a power that raises to ``eval_terms``, and only
 ``descend`` catches the ``OverflowError`` the lift raises on purpose.  Only
 ``polynomials.py`` reads a polynomial's exact form (``.terms``, ``.exps``);
-every other module works from its compiled float tables.
+every other module works from its compiled float tables.  It also owns the
+one rule that evaluates them: no other module reads a table with
+``eval_terms`` or generates code, they all call ``evaluator``.
 """
 
 import ast
@@ -133,6 +135,54 @@ def tables(p, y):
     return getattr(p, "terms"), p.compile(), p.order
 """
     assert exact_form_reads(ast.parse(bad)) == ["line 3: p.terms", "line 4: m.exps"]
+
+
+# the table reader and the code generator, and the builtins that generate code
+EVALUATION_RULE = {"eval_terms", "_line"}
+CODE_BUILTINS = {"compile", "eval", "exec"}
+
+
+def evaluation_rule_refs(tree: ast.AST) -> list[str]:
+    """Imports, names and attributes of the evaluation rule, and names of the
+    builtins that generate code (an attribute ``.compile`` is a polynomial's)."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias):
+            hit = node.name.split(".")[-1] in EVALUATION_RULE
+        elif isinstance(node, ast.Attribute):
+            hit = node.attr in EVALUATION_RULE
+        elif isinstance(node, ast.Name):
+            hit = node.id in EVALUATION_RULE | CODE_BUILTINS
+        else:
+            continue
+        if hit:
+            out.append(f"line {node.lineno}: {ast.unparse(node)}")
+    return out
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "polynomials.py"], ids=lambda p: p.name
+)
+def test_tables_are_evaluated_only_in_polynomials(path):
+    assert evaluation_rule_refs(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_evaluation_rule_check_catches_references():
+    bad = """
+from .polynomials import Polynomial, eval_terms as ev, evaluator
+import polydescent.polynomials as P
+
+def value(p, terms, vals):
+    code = eval(compile(P._line(terms), "<t>", "eval"))
+    return ev(terms, vals), P.eval_terms(terms, vals), p.compile(), evaluator([terms])
+"""
+    assert sorted(evaluation_rule_refs(ast.parse(bad))) == [
+        "line 2: eval_terms as ev",
+        "line 6: P._line",
+        "line 6: compile",
+        "line 6: eval",
+        "line 7: P.eval_terms",
+    ]
 
 
 # each function that may catch OverflowError, by module

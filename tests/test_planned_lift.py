@@ -1,8 +1,8 @@
 """The planned, straight-line lift against the general path, bit for bit.
 
 A lift stage whose coefficients above power 0 are constants keeps a
-``RootPlan`` and evaluates only its constant coefficient, by generated code;
-retained residuals are generated code too.  Each must return exactly what
+``RootPlan`` and evaluates only its constant coefficient; every set of
+tables runs as generated code once it is hot.  Each must return exactly what
 the general path returns: ``eval_terms`` on the tables, and ``real_roots`` on
 the stage coefficients, itself checked against a copy of the root finder as
 it was before plans existed.
@@ -19,21 +19,33 @@ from hypothesis import given, settings, strategies as st
 from conftest import manifold_start, random_system, random_tower
 import polydescent.triangular as triangular
 from polydescent import polynomials
-from polydescent.geometry import lift, residuals
+from polydescent.geometry import lift, project_to_manifold, tangent_frame
 from polydescent.polynomials import (
     VariableOrder,
     eval_terms,
+    evaluator,
     parse_polynomial,
     real_roots,
-    straight_line,
 )
-from polydescent.triangular import validate_triangular, whitney_partition
+from polydescent.triangular import CompiledSystem, validate_triangular, whitney_partition
 
 INF = math.inf
 
 
 def _bits(xs):
     return None if xs is None else [struct.pack("<d", x) for x in xs]
+
+
+def _count_builds(monkeypatch):
+    """A list that grows by one each time generated table code is compiled."""
+    built = []
+
+    def counting_compile(*args):
+        built.append(args[0])
+        return compile(*args)
+
+    monkeypatch.setattr(polynomials, "compile", counting_compile, raising=False)
+    return built
 
 
 def _reference_real_roots(coeffs, guess=math.nan):
@@ -148,28 +160,34 @@ def test_every_tower_stage_is_planned(monkeypatch):
 
 
 def test_generated_code_is_built_when_hot(monkeypatch):
-    # set-up builds none: the stage plans and their code come with the first
-    # lift, the residual code with the 50th residuals, each once
-    built = []
-    real = triangular.straight_line
-    monkeypatch.setattr(
-        triangular, "straight_line", lambda gs: built.append(len(gs)) or real(gs)
-    )
+    # set-up, the start frame and projection and the first lifts build no
+    # code; each table set builds its own once, at its 50th call, and reads
+    # the same values before and after
+    built = _count_builds(monkeypatch)
     rng = random.Random(2)
     part = random_tower(rng, 12, 2)
     start = manifold_start(part, rng)
-    compiled = part.compiled
-    first = residuals(part, start)
-    assert built == []
     warm = lift(part, start)
-    lift(part, start, warm)
-    assert built == [len(part.eliminated)]
-    for _ in range(48):
-        assert residuals(part, start).tolist() == first.tolist()
-    assert built == [len(part.eliminated)]
-    for _ in range(3):
-        assert residuals(part, start).tolist() == first.tolist()
-    assert compiled is part.compiled and built == [len(part.eliminated), 1]
+    frame = tangent_frame(part, start)
+    q = project_to_manifold(frame, [1e-3] * part.manifold_dim)
+    lift(part, q, warm)
+    assert built == []
+    p, amb = start.tolist(), warm.tolist()
+    stages = range(len(part.eliminated))
+    table_sets = [
+        lambda c: c.residuals(p),
+        lambda c: c.jacobian(p).ravel().tolist(),
+        lambda c: c.hessians(p).ravel().tolist(),
+        *(lambda c, j=j: c.stage_coeffs(j, amb) for j in stages),
+        *(lambda c, j=j: c.stage_roots(j, amb, amb[part.eliminated[j]]) for j in stages),
+    ]
+    for call in table_sets:
+        compiled = CompiledSystem(part)
+        first = _bits(call(compiled))
+        for n in range(2, 52):
+            assert _bits(call(compiled)) == first
+            assert len(built) == (n >= 50)
+        built.clear()
 
 
 # -- straight-line tables -------------------------------------------------------------
@@ -199,20 +217,30 @@ _values = st.lists(
 @given(st.lists(st.lists(_tables, max_size=3), max_size=3), _values)
 def test_generated_tables_equal_eval_terms(groups, vals):
     # +-inf coefficients, powers past the float range (the code raises and
-    # eval_terms saturates them), empty tables and empty groups
-    for code, tables in zip(straight_line(groups), groups, strict=True):
-        assert _bits(code(vals)) == _bits([eval_terms(t, vals) for t in tables])
+    # eval_terms saturates them), empty tables and empty sets; calls 1 to 49
+    # read the tables, the 50th generates the code that serves the 51st
+    for tables in groups:
+        evaluate = evaluator(tables)
+        expected = _bits([eval_terms(t, vals) for t in tables])
+        for _ in range(51):
+            assert _bits(evaluate(vals)) == expected
 
 
-def test_a_long_table_stays_on_eval_terms():
-    # a sum of thousands of terms nests past the compiler's recursion limit
+def test_a_long_table_stays_on_eval_terms(monkeypatch):
+    # a sum of thousands of terms nests past the compiler's recursion limit,
+    # so a set holding a table of more than 500 is never generated
+    built = _count_builds(monkeypatch)
     rng = random.Random(0)
     for n in (500, 501, 3000):
         factors = [((rng.randrange(3), rng.randint(1, 3)),) for _ in range(n)]
         table = [(rng.uniform(-1.0, 1.0), f) for f in factors]
         vals = [0.3, -1.7, 2.2]
-        (code,) = straight_line([[table, [(2.0, ())]]])
-        assert _bits(code(vals)) == _bits([eval_terms(table, vals), 2.0])
+        evaluate = evaluator([table, [(2.0, ())]])
+        expected = _bits([eval_terms(table, vals), 2.0])
+        for _ in range(51):
+            assert _bits(evaluate(vals)) == expected
+        assert len(built) == (n == 500)
+        built.clear()
 
 
 def _only_literals_and_reads(source: str) -> list[str]:
