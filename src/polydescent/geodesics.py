@@ -68,7 +68,7 @@ def geodesic_integrate(
     The final position is projected back onto the manifold from a frame at
     the raw endpoint (``project=False`` returns the raw endpoint, useful for
     measuring integrator drift).  Raises ``ValueError`` unless ``step`` is
-    positive and finite and ``duration`` and the velocity are finite,
+    positive and finite and ``duration`` and ``state0`` are finite,
     :class:`DivergedError` if the speed grows a thousandfold or stops being
     a number, and propagates :class:`NotRegularError` from any stage.
     """
@@ -78,8 +78,9 @@ def geodesic_integrate(
         raise ValueError(f"duration must be finite, got {duration}")
     z = np.asarray(state0.position, dtype=float).copy()
     v = np.asarray(state0.velocity, dtype=float).copy()
-    if not np.isfinite(v).all():
-        raise ValueError(f"velocity {v.tolist()} is not finite")
+    for name, x in (("position", z), ("velocity", v)):
+        if not np.isfinite(x).all():
+            raise ValueError(f"{name} {x.tolist()} is not finite")
     if duration == 0:
         return GeodesicState(z, v, state0.time)
 

@@ -3,11 +3,11 @@
 A polynomial is a map from monomials to nonzero ``Fraction`` coefficients,
 relative to a fixed ordering of the variables.  All symbolic work (arithmetic,
 differentiation, the main-variable decomposition) stays exact; floating point
-enters only in :meth:`Polynomial.compile` and :meth:`Polynomial.evaluate`:
-the first builds a float term table, which :func:`eval_terms` evaluates and
-:func:`evaluator` turns into generated code once a set of tables runs hot.
-:func:`real_roots` and :class:`RootPlan` find the real roots of univariate
-float polynomials, the lift's stages.
+enters only in :meth:`Polynomial.compile`, :meth:`~Polynomial.coefficient_tables`
+and :meth:`Polynomial.evaluate`: the first two build float term tables, which
+:func:`eval_terms` evaluates and :func:`evaluator` turns into generated code
+once a set of tables runs hot.  :func:`real_roots` and :class:`RootPlan` find
+the real roots of univariate float polynomials, the lift's stages.
 
 The canonical form stores no zero coefficients and no zero exponents, so two
 polynomials are equal exactly when their term maps are equal, and the printed
@@ -319,6 +319,14 @@ class Polynomial:
             for m, c in self.terms.items()
         ]
 
+    def coefficient_tables(self, var: int) -> list[Terms]:
+        """The coefficients in ``var`` as :meth:`compile` tables, one per power from 0."""
+        tables: list[Terms] = [[] for _ in range(self.degree_in(var) + 1)]
+        for m, c in self.terms.items():
+            facs = tuple(f for f in m.exps if f[0] != var)
+            tables[m.degree_of(var)].append((_saturated(c), facs))
+        return tables
+
     def evaluate(self, point: Sequence[float]) -> float:
         """Floating-point value at ``point`` (one value per variable, in order)."""
         if len(point) != len(self.order):
@@ -447,8 +455,8 @@ class RootPlan:
 
     What does not depend on ``c0`` is computed once, here: the derivative's
     coefficients, its real roots (the critical points) and the Fujiwara
-    terms of ``tail``.  ``tail[-1]`` must be nonzero.  A lift stage whose
-    coefficients above power 0 are the same at every point keeps one plan.
+    terms of ``tail``.  ``tail[-1]`` must be nonzero.  :meth:`of` plans a
+    lift stage whose coefficients above power 0 are the same at every point.
     """
 
     __slots__ = ("tail", "dcoeffs", "critical", "k0", "lead_k0", "ratio")
@@ -472,6 +480,15 @@ class RootPlan:
             if r > ratio:
                 ratio = r
         self.ratio = ratio
+
+    @classmethod
+    def of(cls, tables: Sequence[Terms]) -> RootPlan | None:
+        """The plan of coefficient tables, lowest power first; None unless those
+        above power 0 hold no factors and the lead is finite and nonzero."""
+        if any(facs for t in tables[1:] for _, facs in t):
+            return None
+        tail = [eval_terms(t, ()) for t in tables[1:]]
+        return cls(tail) if tail and math.isfinite(tail[-1]) and tail[-1] != 0.0 else None
 
     def roots(self, c0: float, guess: float = math.nan) -> list[float]:
         """The real roots at ``c0``, ascending, polished from ``guess``."""

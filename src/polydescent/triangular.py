@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .polynomials import Polynomial, RootPlan, Terms, VariableOrder, evaluator, real_roots
+from .polynomials import Polynomial, RootPlan, VariableOrder, evaluator, real_roots
 
 
 class ConstantMemberError(ValueError):
@@ -137,13 +137,13 @@ class CompiledSystem:
     take an ambient point.  ``hessians`` evaluates only the nonzero second
     partials, whose tables are compiled on first use.
 
-    Each set of tables (the residuals, the Jacobian, the Hessians, each
-    stage's coefficients and each planned stage's constant coefficient) is
-    evaluated by its own :func:`evaluator`, which generates code for it at
-    its 50th call, so set-up generates none.  On the first lift, a stage
-    whose coefficients above power 0 are constants, with a finite nonzero
-    lead, gets a :class:`RootPlan`, so each of its root solves evaluates
-    only its constant coefficient.
+    A stage's tables are its constraint's ``coefficient_tables``.  Each set
+    of tables (the residuals, the Jacobian, the Hessians, each stage's
+    coefficients) is evaluated by its own :func:`evaluator`, which generates
+    code for it at its 50th call, so set-up generates none.  On the first
+    lift, ``RootPlan.of`` plans each stage whose coefficients above power 0
+    are constants, with a finite nonzero lead, so a root solve there
+    reuses the plan's critical points instead of finding them again.
     """
 
     def __init__(self, part: WhitneyPartition):
@@ -153,19 +153,9 @@ class CompiledSystem:
         self.residuals = evaluator([p.compile(self._red_of) for p in part.g_star])
         # exact first partials, kept to derive the Hessian tables from
         self._partials = [[p.derivative(v) for v in part.retained] for p in part.g_star]
-        self._jac = evaluator(
-            [dp.compile(self._red_of) for row in self._partials for dp in row]
-        )
-        # stage j: one table per power of eliminated[j], grouping that power's
-        # terms in term order so each coefficient sums as the polynomial does;
-        # eliminated[j] is the main variable, so a term's factor in it is last
-        self._stages: list[list[Terms]] = []
-        for y, p in zip(part.eliminated, part.g_circ):
-            tables: list[Terms] = [[] for _ in range(p.degree_in(y) + 1)]
-            for c, facs in p.compile():
-                e = facs[-1][1] if facs and facs[-1][0] == y else 0
-                tables[e].append((c, facs[:-1] if e else facs))
-            self._stages.append(tables)
+        self._jac = evaluator([dp.compile(self._red_of) for row in self._partials for dp in row])
+        # stage j: one table per power of eliminated[j], over ambient indices
+        self._stages = [p.coefficient_tables(y) for y, p in zip(part.eliminated, part.g_circ)]
         self._stage_coeffs = [evaluator(tables) for tables in self._stages]
 
     @cached_property
@@ -199,29 +189,18 @@ class CompiledSystem:
         return self._stage_coeffs[j](vals)
 
     @cached_property
-    def _plans(self) -> list[tuple[RootPlan, Callable] | None]:
-        # (plan, evaluator of the constant coefficient) of each stage whose
-        # tables above power 0 hold no factors and whose lead is finite and
-        # nonzero
-        plans: list[tuple[RootPlan, Callable] | None] = [None] * len(self._stages)
-        for j, tables in enumerate(self._stages):
-            if all(not facs for t in tables[1:] for _, facs in t):
-                tail = evaluator(tables[1:])(())
-                if math.isfinite(tail[-1]) and tail[-1] != 0.0:
-                    plans[j] = RootPlan(tail), evaluator(tables[:1])
-        return plans
+    def _plans(self) -> list[RootPlan | None]:
+        return [RootPlan.of(tables) for tables in self._stages]
 
     def stage_roots(self, j: int, vals, guess: float = math.nan) -> list[float] | None:
         """``real_roots(self.stage_coeffs(j, vals), guess)``, bit for bit.
 
-        A planned stage evaluates only its constant coefficient and hands it
-        to its :class:`RootPlan`, which is what :func:`real_roots` runs too.
+        A planned stage hands only its constant coefficient to its
+        :class:`RootPlan`, which is what :func:`real_roots` runs too.
         """
+        coeffs = self._stage_coeffs[j](vals)
         plan = self._plans[j]
-        if plan is None:
-            return real_roots(self.stage_coeffs(j, vals), guess)
-        root_plan, c0 = plan
-        return root_plan.roots(c0(vals)[0], guess)
+        return real_roots(coeffs, guess) if plan is None else plan.roots(coeffs[0], guess)
 
 
 def _real_root_guaranteed(p: Polynomial) -> bool:
@@ -346,8 +325,8 @@ class LinearTriangularForm:
 def linear_whitney(A: np.ndarray, b: np.ndarray, m: int) -> LinearTriangularForm:
     """Triangularize the linear system ``A z = b`` into the two-stage form.
 
-    ``A`` must be k x (m + k) with full row rank and k > m + 1, so the
-    variable blocks are y (k - m - 1), x (m + 1) and u (m).
+    ``A`` and ``b`` must be finite and ``A`` k x (m + k) with full row rank
+    and k > m + 1, so the variable blocks are y (k - m - 1), x (m + 1), u (m).
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -362,6 +341,8 @@ def linear_whitney(A: np.ndarray, b: np.ndarray, m: int) -> LinearTriangularForm
         raise ValueError(f"need k > m + 1; got k={k}, m={m}")
     if b.shape != (k,):
         raise ValueError("b must have one entry per row of A")
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+        raise ValueError("A and b must be finite")
 
     q, r = np.linalg.qr(A)
     diag = np.abs(np.diagonal(r))

@@ -126,11 +126,21 @@ class TestIntegrate:
         with pytest.raises(ValueError, match=message):
             geodesic_integrate(circle, state, duration, step)
 
-    @pytest.mark.parametrize("velocity", [[math.nan, 0.0], [math.inf, 0.0]])
-    def test_non_finite_velocity_rejected(self, circle, velocity):
-        state = GeodesicState(np.array([0.0, 1.0]), np.array(velocity))
-        with pytest.raises(ValueError, match="velocity .* is not finite"):
-            geodesic_integrate(circle, state, 1.0, 1e-3)
+    @pytest.mark.parametrize(
+        "bad, position, velocity",
+        [
+            ("velocity", [0.0, 1.0], [math.nan, 0.0]),
+            ("velocity", [0.0, 1.0], [math.inf, 0.0]),
+            ("position", [math.nan, 0.0], [1.0, 0.0]),
+            ("position", [math.inf, math.inf], [1.0, 0.0]),
+        ],
+        ids=["velocity0", "velocity1", "position0", "position1"],
+    )
+    def test_non_finite_velocity_rejected(self, circle, bad, position, velocity):
+        state = GeodesicState(np.array(position), np.array(velocity))
+        for duration in (1.0, 0.0):  # also before the early return for zero
+            with pytest.raises(ValueError, match=f"{bad} .* is not finite"):
+                geodesic_integrate(circle, state, duration, 1e-3)
 
     def test_zero_velocity_stays_put(self, circle):
         state = GeodesicState(np.array([0.0, 1.0]), np.zeros(2))

@@ -11,7 +11,10 @@ table code hands a power that raises to ``eval_terms``, and only
 ``polynomials.py`` reads a polynomial's exact form (``.terms``, ``.exps``);
 every other module works from its compiled float tables.  It also owns the
 one rule that evaluates them: no other module reads a table with
-``eval_terms`` or generates code, they all call ``evaluator``.
+``eval_terms`` or generates code, they all call ``evaluator``.  And it owns
+the tables' layout: no other module imports ``Terms``, loops over a compiled
+table or builds a ``RootPlan`` itself; a lift stage takes its tables from
+``coefficient_tables`` and its plan from ``RootPlan.of``.
 """
 
 import ast
@@ -182,6 +185,56 @@ def value(p, terms, vals):
         "line 6: compile",
         "line 6: eval",
         "line 7: P.eval_terms",
+    ]
+
+
+def table_layout_reads(tree: ast.AST) -> list[str]:
+    """References to ``Terms``, loops over the result of a ``.compile(...)``
+    call and calls of ``RootPlan`` itself (``RootPlan.of`` is the way in)."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias):
+            hit = node.name.split(".")[-1] == "Terms"
+        elif isinstance(node, ast.Attribute):
+            hit = node.attr == "Terms"
+        elif isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension)):
+            node = node.iter
+            hit = isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "compile"
+        elif isinstance(node, ast.Call):
+            hit = ast.unparse(node.func).split(".")[-1] == "RootPlan"
+        else:
+            continue
+        if hit:
+            out.append(f"line {node.lineno}: {ast.unparse(node)}")
+    return out
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "polynomials.py"], ids=lambda p: p.name
+)
+def test_table_layout_is_known_only_in_polynomials(path):
+    assert table_layout_reads(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_table_layout_check_catches_reads():
+    bad = """
+from .polynomials import Polynomial, Terms
+import polydescent.polynomials as P
+
+def stage(p: Polynomial, y):
+    tables: list[P.Terms] = [[], []]
+    for c, facs in p.compile():
+        tables[facs[-1][1]].append((c, facs[:-1]))
+    plan = P.RootPlan(tables[1]) or RootPlan.of(tables)
+    return [c for c, _ in p.compile({})], RootPlan([1.0]), evaluator([p.compile()])
+"""
+    assert sorted(table_layout_reads(ast.parse(bad))) == [
+        "line 10: RootPlan([1.0])",
+        "line 10: p.compile({})",
+        "line 2: Terms",
+        "line 6: P.Terms",
+        "line 7: p.compile()",
+        "line 9: P.RootPlan(tables[1])",
     ]
 
 

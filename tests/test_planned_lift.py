@@ -1,7 +1,7 @@
 """The planned, straight-line lift against the general path, bit for bit.
 
 A lift stage whose coefficients above power 0 are constants keeps a
-``RootPlan`` and evaluates only its constant coefficient; every set of
+``RootPlan`` and hands it only its constant coefficient; every set of
 tables runs as generated code once it is hot.  Each must return exactly what
 the general path returns: ``eval_terms`` on the tables, and ``real_roots`` on
 the stage coefficients, itself checked against a copy of the root finder as

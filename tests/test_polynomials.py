@@ -164,6 +164,33 @@ class TestFloatRange:
         assert math.isnan(p.evaluate([0.0, 0.0]))
 
 
+class TestCoefficientTables:
+    """One float table per power of a variable, its factor dropped, in term order."""
+
+    def test_in_a_variable_that_is_not_the_main_one(self):
+        p = parse_polynomial("x^2*y - 3*u*x + 5 + 2*x^2 + y^2", UXY)
+        tables = p.coefficient_tables(1)
+        assert tables == [
+            [(5.0, ()), (1.0, ((2, 2),))],
+            [(-3.0, ((0, 1),))],
+            [(1.0, ((2, 1),)), (2.0, ())],
+        ]
+        vals = [0.3, 1.7, -0.9]
+        x = vals[1]
+        total = sum(eval_terms(t, vals) * x**e for e, t in enumerate(tables))
+        assert total == pytest.approx(p.evaluate(vals))
+
+    def test_an_absent_variable_gives_the_compiled_table(self):
+        p = parse_polynomial("u^3 - 2*x*u + 7", UXY)
+        assert p.coefficient_tables(2) == [p.compile()]
+        assert Polynomial(UXY, {}).coefficient_tables(0) == [[]]
+
+    def test_coefficients_saturate_as_compile_does(self):
+        big = "2" + "0" * 308
+        p = parse_polynomial(f"{big}*y^2 - {big}*x", UXY)
+        assert p.coefficient_tables(2) == [[(-math.inf, ((1, 1),))], [], [(math.inf, ())]]
+
+
 class TestMonomial:
     @pytest.mark.parametrize("exps", [((1, 2), (0, 1)), ((0, 1), (0, 2))])
     def test_indices_must_be_sorted_and_distinct(self, exps):

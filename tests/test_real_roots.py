@@ -71,6 +71,22 @@ def test_remembered_critical_points_leave_results_unchanged(monkeypatch):
     assert len(second) == 1 and abs(second[0] ** 5 + 0.5) <= 8 * EPS
 
 
+def test_a_plan_needs_constant_tables_above_power_0_and_a_usable_lead():
+    # tables as Polynomial.coefficient_tables gives them, lowest power first
+    c0 = [(1.0, ((0, 2),)), (-0.5, ())]
+    plan = RootPlan.of([c0, [(1.0, ())], [], [(4.0, ())]])
+    assert plan.tail == [1.0, 0.0, 4.0]
+    assert plan.roots(-5.0) == real_roots([-5.0, 1.0, 0.0, 4.0])
+    for above in (
+        [[(1.0, ((0, 1),))], [(4.0, ())]],  # a coefficient that varies
+        [[(1.0, ())], [(5e-324 / 2, ())]],  # a lead that rounds to zero
+        [[(1.0, ())], [(math.inf, ())]],
+        [[(1.0, ())], [(-math.inf, ())]],
+        [],  # constant in the stage's variable
+    ):
+        assert RootPlan.of([c0, *above]) is None
+
+
 def test_root_bound_does_not_overflow():
     # the leading and constant coefficients are each representable, and so
     # is the root -1e200, but their plain ratio 1e600 is not

@@ -244,6 +244,11 @@ class TestPartition:
             whitney_partition(validate_triangular(polys, UXY), eliminate)
 
 
+def _upper(last):
+    # full row rank whatever its last entry
+    return np.array([[1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 2.0, 3.0], [0.0, 0.0, 1.0, last]])
+
+
 class TestLinearWhitney:
     def test_boundary_k_not_large_enough(self):
         A = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
@@ -257,6 +262,9 @@ class TestLinearWhitney:
             (np.eye(3), np.ones(3), -1, "m must be nonnegative"),
             (np.eye(3), np.ones(3), 1, r"A must be k x \(m \+ k\)"),
             (np.eye(3), np.ones(2), 0, "b must have one entry per row of A"),
+            (_upper(np.nan), np.array([1.0, 2.0, 3.0]), 1, "A and b must be finite"),
+            (_upper(np.inf), np.array([1.0, 2.0, 3.0]), 1, "A and b must be finite"),
+            (np.eye(3, 4), np.array([1.0, np.nan, 3.0]), 1, "A and b must be finite"),
         ],
     )
     def test_bad_arguments(self, A, b, m, message):
