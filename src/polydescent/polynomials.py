@@ -528,6 +528,12 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# how deep parentheses and unary minuses may nest: the parenthesis depth
+# CPython's own tokenizer allows, and at up to 3 frames a level well inside
+# the interpreter's recursion limit
+_MAX_NESTING = 200
+
+
 class _Parser:
     """Recursive-descent parser for the expression grammar.
 
@@ -535,12 +541,15 @@ class _Parser:
     term   := factor ('*' factor)*
     factor := coeff | var ('^' uint)? | '(' expr ')' | '-' factor
     coeff  := int | int '/' posint
+
+    Parentheses and unary minuses nest at most 200 deep.
     """
 
     def __init__(self, text: str, order: VariableOrder):
         self.tokens = _tokenize(text)
         self.order = order
         self.i = 0
+        self.depth = 0
 
     @property
     def tok(self) -> tuple[str, str, int]:
@@ -554,6 +563,16 @@ class _Parser:
         if kind != "op" or text != op:
             raise ParseError(f"expected '{op}'", pos)
         self.advance()
+
+    def integer(self, error: type[ParseError] = ParseError) -> int:
+        """The value of the current token, a digit run, which it consumes."""
+        _, text, pos = self.tok
+        try:
+            value = int(text)
+        except ValueError:  # longer than sys.get_int_max_str_digits()
+            raise error(f"integer literal of {len(text)} digits is too long", pos) from None
+        self.advance()
+        return value
 
     def parse(self) -> Polynomial:
         p = self.expr()
@@ -580,26 +599,29 @@ class _Parser:
 
     def factor(self) -> Polynomial:
         kind, text, pos = self.tok
-        if kind == "op" and text == "-":
+        if kind == "op" and text in "-(":
+            if self.depth == _MAX_NESTING:
+                raise ParseError(f"nested more than {_MAX_NESTING} deep", pos)
+            self.depth += 1
             self.advance()
-            return -self.factor()
-        if kind == "op" and text == "(":
-            self.advance()
-            p = self.expr()
-            self.expect_op(")")
+            if text == "-":
+                p = -self.factor()
+            else:
+                p = self.expr()
+                self.expect_op(")")
+            self.depth -= 1
             return p
         if kind == "num":
-            self.advance()
-            value = Fraction(int(text))
+            value = Fraction(self.integer())
             if self.tok[0] == "op" and self.tok[1] == "/":
                 self.advance()
-                dkind, dtext, dpos = self.tok
+                dkind, _, dpos = self.tok
                 if dkind != "num":
                     raise ParseError("expected integer denominator", dpos)
-                if int(dtext) == 0:
+                denominator = self.integer()
+                if denominator == 0:
                     raise ParseError("denominator must be positive", dpos)
-                self.advance()
-                value /= int(dtext)
+                value /= denominator
             return Polynomial.constant(self.order, value)
         if kind == "name":
             if text not in self.order:
@@ -609,13 +631,12 @@ class _Parser:
             exp = 1
             if self.tok[0] == "op" and self.tok[1] == "^":
                 self.advance()
-                ekind, etext, epos = self.tok
+                ekind, _, epos = self.tok
                 if ekind != "num":
                     raise InvalidExponentError(
                         "exponent is not a nonnegative integer literal", epos
                     )
-                self.advance()
-                exp = int(etext)
+                exp = self.integer(InvalidExponentError)
             if exp == 0:
                 return Polynomial.constant(self.order, 1)
             return Polynomial(

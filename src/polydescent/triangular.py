@@ -46,6 +46,12 @@ class RankDeficientError(ValueError):
 
 AUTO = "auto"
 
+# highest degree of a lift stage in its variable: a stage's RootPlan recurses
+# through its derivatives, two frames a degree, so near 500 it runs into the
+# interpreter's recursion limit, and the plan's time grows about as the cube
+# of the degree (0.14 s at 200, 0.67 s at 301)
+MAX_STAGE_DEGREE = 200
+
 
 @dataclass(frozen=True)
 class TriangularSystem:
@@ -137,13 +143,16 @@ class CompiledSystem:
     take an ambient point.  ``hessians`` evaluates only the nonzero second
     partials, whose tables are compiled on first use.
 
-    A stage's tables are its constraint's ``coefficient_tables``.  Each set
-    of tables (the residuals, the Jacobian, the Hessians, each stage's
-    coefficients) is evaluated by its own :func:`evaluator`, which generates
-    code for it at its 50th call, so set-up generates none.  On the first
-    lift, ``RootPlan.of`` plans each stage whose coefficients above power 0
-    are constants, with a finite nonzero lead, so a root solve there
-    reuses the plan's critical points instead of finding them again.
+    Each set of tables (the residuals, the Jacobian, the Hessians, each
+    stage's coefficients) is evaluated by its own :func:`evaluator`, which
+    generates code for it at its 50th call, so set-up generates none.
+    Set-up keeps each lift stage's constraint; the first lift cuts its
+    ``coefficient_tables`` and asks ``RootPlan.of`` for a plan.  A stage
+    whose coefficients above power 0 are constants, with a finite nonzero
+    lead, is planned: its plan holds those constants, its evaluator reads
+    only the power-0 table, and a root solve reuses the plan's critical
+    points instead of finding them again.  Any other stage evaluates all
+    of its tables.
     """
 
     def __init__(self, part: WhitneyPartition):
@@ -154,9 +163,8 @@ class CompiledSystem:
         # exact first partials, kept to derive the Hessian tables from
         self._partials = [[p.derivative(v) for v in part.retained] for p in part.g_star]
         self._jac = evaluator([dp.compile(self._red_of) for row in self._partials for dp in row])
-        # stage j: one table per power of eliminated[j], over ambient indices
-        self._stages = [p.coefficient_tables(y) for y, p in zip(part.eliminated, part.g_circ)]
-        self._stage_coeffs = [evaluator(tables) for tables in self._stages]
+        # stage j solves g_circ[j] for eliminated[j]; its tables are cut at the first lift
+        self._stage_members = list(zip(part.eliminated, part.g_circ))
 
     @cached_property
     def _hess(self) -> tuple[list[tuple[int, int, int]], Callable]:
@@ -184,13 +192,21 @@ class CompiledSystem:
             H[c, a, b] = H[c, b, a] = h
         return H
 
+    @cached_property
+    def _stages(self) -> list[tuple[RootPlan | None, Callable]]:
+        # stage j: its plan, and the evaluator of the tables the plan lacks,
+        # one per power of eliminated[j] from 0, over ambient indices
+        stages = []
+        for y, p in self._stage_members:
+            tables = p.coefficient_tables(y)
+            plan = RootPlan.of(tables)
+            stages.append((plan, evaluator(tables if plan is None else tables[:1])))
+        return stages
+
     def stage_coeffs(self, j: int, vals) -> list[float]:
         """Coefficients of ``g_circ[j]`` in ``eliminated[j]``, lowest power first."""
-        return self._stage_coeffs[j](vals)
-
-    @cached_property
-    def _plans(self) -> list[RootPlan | None]:
-        return [RootPlan.of(tables) for tables in self._stages]
+        plan, evaluate = self._stages[j]
+        return evaluate(vals) if plan is None else [*evaluate(vals), *plan.tail]
 
     def stage_roots(self, j: int, vals, guess: float = math.nan) -> list[float] | None:
         """``real_roots(self.stage_coeffs(j, vals), guess)``, bit for bit.
@@ -198,9 +214,10 @@ class CompiledSystem:
         A planned stage hands only its constant coefficient to its
         :class:`RootPlan`, which is what :func:`real_roots` runs too.
         """
-        coeffs = self._stage_coeffs[j](vals)
-        plan = self._plans[j]
-        return real_roots(coeffs, guess) if plan is None else plan.roots(coeffs[0], guess)
+        plan, evaluate = self._stages[j]
+        if plan is None:
+            return real_roots(evaluate(vals), guess)
+        return plan.roots(evaluate(vals)[0], guess)
 
 
 def _real_root_guaranteed(p: Polynomial) -> bool:
@@ -211,7 +228,7 @@ def _real_root_guaranteed(p: Polynomial) -> bool:
     initial, d, _, _, _ = p.decompose()
     if d == 1:
         return True
-    return d % 2 == 1 and initial.is_constant
+    return d % 2 == 1 and d <= MAX_STAGE_DEGREE and initial.is_constant
 
 
 def whitney_partition(
@@ -225,7 +242,9 @@ def whitney_partition(
     dimension stays above ``min(2m + 1, n_vars)`` and the candidate
     constraint is guaranteed a real root (degree one, or odd degree with
     constant leading coefficient).  Odd degree above one may have several
-    real roots; the lift then takes the one nearest its warm start.
+    real roots; the lift then takes the one nearest its warm start.  An
+    eliminated constraint's degree in its variable is at most
+    ``MAX_STAGE_DEGREE``; ``AUTO`` retains a constraint of higher degree.
     """
     by_mvar = {p.main_variable(): p for p in sys.polynomials}
     n = len(sys.order)
@@ -278,6 +297,12 @@ def whitney_partition(
                 f"variable '{name}'"
             )
     for j, p in enumerate(g_circ):
+        if (d := p.degree_in(eliminated[j])) > MAX_STAGE_DEGREE:
+            raise NotEliminableError(
+                f"eliminated constraint '{p}' has degree {d} in "
+                f"'{sys.order[eliminated[j]]}'; a lift stage is solved up to "
+                f"degree {MAX_STAGE_DEGREE}"
+            )
         later = p.variables() & set(eliminated[j + 1 :])
         if later:
             name = sys.order[min(later)]

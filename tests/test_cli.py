@@ -470,6 +470,25 @@ class TestValidate:
         assert main(["validate", "--problem", str(path)]) == 0
 
 
+    @pytest.mark.parametrize(
+        "objective, message",
+        [
+            ("(x", "bad objective: expected ')' (at offset 2)"),
+            ("9" * 5000 + "*x", "bad objective: integer literal of 5000 digits is too long"),
+            ("-" * 1000 + "x", "bad objective: nested more than 200 deep (at offset 200)"),
+        ],
+        ids=["unbalanced", "long-literal", "deep"],
+    )
+    def test_malformed_objective_is_reported_at_its_line(
+        self, tmp_path, capsys, objective, message
+    ):
+        # before, a long literal left int()'s ValueError as INVALID_ARGUMENT
+        # and deep nesting a RecursionError as ERROR, neither with a line
+        path = tmp_path / "malformed.problem"
+        path.write_text(CIRCLE_PROBLEM.replace("objective: x", f"objective: {objective}"))
+        assert main(["validate", "--problem", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: PROBLEM_FILE: line 3: {message}")
+
     def test_validate_compiles_nothing(self, tmp_path, capsys):
         # a coefficient past the float range is still printed exactly
         big = "2" + "0" * 308

@@ -19,8 +19,10 @@ from hypothesis import given, settings, strategies as st
 from conftest import manifold_start, random_system, random_tower
 import polydescent.triangular as triangular
 from polydescent import polynomials
+from polydescent.geodesics import GeodesicState, christoffel, geodesic_integrate
 from polydescent.geometry import lift, project_to_manifold, tangent_frame
 from polydescent.polynomials import (
+    Polynomial,
     VariableOrder,
     eval_terms,
     evaluator,
@@ -188,6 +190,70 @@ def test_generated_code_is_built_when_hot(monkeypatch):
             assert _bits(call(compiled)) == first
             assert len(built) == (n >= 50)
         built.clear()
+
+
+def test_stage_tables_are_cut_at_the_first_lift(monkeypatch):
+    # set-up and every reader that does not lift (the Jacobian, the Hessians,
+    # the frame, the projection, the Christoffel symbols and a geodesic) cut
+    # no stage table; the first lift cuts each stage's once, for good
+    cut = []
+    cut_tables = Polynomial.coefficient_tables
+
+    def counting_cut(poly, var):
+        cut.append((poly, var))
+        return cut_tables(poly, var)
+
+    monkeypatch.setattr(Polynomial, "coefficient_tables", counting_cut)
+    rng = random.Random(3)
+    part = random_tower(rng, 14, 2)
+    start = manifold_start(part, rng)
+    part.compiled.residuals(start.tolist())
+    part.compiled.jacobian(start.tolist())
+    part.compiled.hessians(start.tolist())
+    frame = tangent_frame(part, start)
+    q = project_to_manifold(frame, [1e-3] * part.manifold_dim)
+    christoffel(part, start)
+    geodesic_integrate(part, GeodesicState(start, frame.U[:, 0]), 0.01, 1e-3)
+    assert cut == []
+    warm = lift(part, start)
+    assert cut == list(zip(part.g_circ, part.eliminated))
+    lift(part, q, warm)
+    for j in range(len(part.eliminated)):
+        part.compiled.stage_coeffs(j, warm.tolist())
+    assert len(cut) == len(part.eliminated)
+
+
+@pytest.mark.parametrize(
+    "top, read",
+    [("y^3 + y - x", 1), ("y^5 + 2*y^2 + x^3 + x", 1), ("x*y^2 + y - 1", 3), ("y^2 + x*y - 1", 3)],
+)
+def test_a_planned_stage_reads_only_its_power_0_table(monkeypatch, top, read):
+    # a planned stage's plan holds its coefficients above power 0, so its
+    # evaluator reads and generates code for the power-0 table alone; an
+    # unplanned stage reads all of its tables
+    part = _partition(["x", "y"], ["x - 1/2", top], ["y"])
+    tables = part.g_circ[0].coefficient_tables(1)
+    compiled = CompiledSystem(part)
+    vals = [0.5, 0.25]
+    expected = compiled.stage_coeffs(0, vals)  # cuts and plans the stage
+    assert expected == [eval_terms(t, vals) for t in tables]
+    calls = []
+
+    def counting_eval_terms(terms, vals):
+        calls.append(terms)
+        return eval_terms(terms, vals)
+
+    monkeypatch.setattr(polynomials, "eval_terms", counting_eval_terms)
+    built = _count_builds(monkeypatch)
+    compiled.stage_roots(0, vals)
+    assert calls == tables[:read]
+    for _ in range(47):
+        assert compiled.stage_coeffs(0, vals) == expected
+    assert built == []
+    assert compiled.stage_coeffs(0, vals) == expected  # the 50th call
+    (source,) = built
+    assert len(ast.parse(source, mode="eval").body.body.elts) == read
+    assert _bits(compiled.stage_coeffs(0, vals)) == _bits(expected)
 
 
 # -- straight-line tables -------------------------------------------------------------

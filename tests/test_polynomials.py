@@ -81,6 +81,41 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_polynomial("x^-2", UX)
 
+    @pytest.mark.parametrize(
+        "text, error, offset",
+        [
+            ("7" * 5000 + "*x", ParseError, 0),
+            ("1/" + "7" * 5000 + "*x", ParseError, 2),
+            ("x^" + "7" * 5000, InvalidExponentError, 2),
+        ],
+        ids=["coefficient", "denominator", "exponent"],
+    )
+    def test_an_integer_literal_too_long_for_int(self, text, error, offset):
+        # int() refuses more than sys.get_int_max_str_digits() digits, 4,300
+        # by default, with a bare ValueError
+        with pytest.raises(error) as exc:
+            parse_polynomial(text, UX)
+        assert str(exc.value) == f"integer literal of 5000 digits is too long (at offset {offset})"
+
+    @pytest.mark.parametrize(
+        "opening, closing",
+        [("(", ")"), ("-", ""), ("-(", ")")],
+        ids=["parentheses", "unary-minus", "both"],
+    )
+    def test_nesting_is_limited(self, opening, closing):
+        # each level reads one or two tokens; the 201st nested level is
+        # refused at its first token, before the parser recurses into it
+        def nested(levels):
+            return opening * levels + "x" + closing * levels
+
+        assert parse_polynomial(nested(200 // len(opening)), UX) == parse_polynomial("x", UX)
+        for levels in (201, 400, 1000):
+            with pytest.raises(ParseError) as exc:
+                parse_polynomial(nested(levels), UX)
+            assert str(exc.value) == "nested more than 200 deep (at offset 200)"
+        # a long sequence that does not nest is no deeper than one term
+        assert parse_polynomial(" + ".join(["(-x)"] * 1000), UX) == parse_polynomial("-1000*x", UX)
+
     def test_implicit_multiplication_rejected(self):
         with pytest.raises(ParseError):
             parse_polynomial("2x", UX)

@@ -8,6 +8,7 @@ from conftest import random_nonconstant_polynomial
 from polydescent.polynomials import Monomial, Polynomial, VariableOrder, parse_polynomial
 from polydescent.triangular import (
     AUTO,
+    MAX_STAGE_DEGREE,
     ConstantMemberError,
     DuplicateMainVariableError,
     EmptyReducedSystemError,
@@ -182,6 +183,24 @@ class TestPartition:
         polys = [parse_polynomial(t, order) for t in ("x - u", "y - x", top)]
         part = whitney_partition(validate_triangular(polys, order), AUTO)
         assert part.eliminated == eliminated
+
+    @pytest.mark.parametrize("degree", [199, 200, 201, 601])
+    def test_a_stage_of_too_high_a_degree(self, degree):
+        # a lift stage's root plan recurses twice per degree: the curve with
+        # y^601 ran out of recursion at the first lift.  Asked for, such a
+        # member is refused; under auto it stays retained, as an even degree does
+        order = VariableOrder(["u", "x", "y", "z"])
+        polys = [parse_polynomial(t, order) for t in ("x - u", "y - x", f"z^{degree} - y")]
+        sys = validate_triangular(polys, order)
+        assert whitney_partition(sys, AUTO).eliminated == ((3,) if degree == 199 else ())
+        if degree <= MAX_STAGE_DEGREE:
+            part = whitney_partition(sys, [3])
+            roots = part.compiled.stage_roots(0, [-1.0, -1.0, -1.0, 0.0])
+            assert roots == ([-1.0] if degree == 199 else [])
+        else:
+            message = f"has degree {degree} in 'z'; a lift stage is solved up to degree 200"
+            with pytest.raises(NotEliminableError, match=message):
+                whitney_partition(sys, [3])
 
     def test_conservation_and_dimensions_random(self):
         rng = random.Random(42)
