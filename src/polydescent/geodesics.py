@@ -68,7 +68,8 @@ def geodesic_integrate(
     The final position is projected back onto the manifold from a frame at
     the raw endpoint (``project=False`` returns the raw endpoint, useful for
     measuring integrator drift).  Raises ``ValueError`` unless ``step`` is
-    positive and finite and ``duration`` and ``state0`` are finite,
+    positive and finite, ``duration`` and ``state0`` are finite and
+    ``duration / step`` is finite,
     :class:`DivergedError` if the speed grows a thousandfold or stops being
     a number, and propagates :class:`NotRegularError` from any stage.
     """
@@ -76,6 +77,9 @@ def geodesic_integrate(
         raise ValueError(f"step must be a positive finite number, got {step}")
     if not math.isfinite(duration):
         raise ValueError(f"duration must be finite, got {duration}")
+    steps = abs(duration) / step
+    if not math.isfinite(steps):
+        raise ValueError(f"duration / step must be finite, got {duration} / {step}")
     z = np.asarray(state0.position, dtype=float).copy()
     v = np.asarray(state0.velocity, dtype=float).copy()
     for name, x in (("position", z), ("velocity", v)):
@@ -84,7 +88,7 @@ def geodesic_integrate(
     if duration == 0:
         return GeodesicState(z, v, state0.time)
 
-    n = max(1, math.ceil(abs(duration) / step))
+    n = max(1, math.ceil(steps))
     h = duration / n
     v0 = math.sqrt(float(v @ v))
     for _ in range(n):

@@ -18,11 +18,10 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from operator import mul
 
 import numpy as np
 
-from .polynomials import Polynomial, evaluator
+from .polynomials import Polynomial, evaluator, matvec
 from .triangular import WhitneyPartition
 
 
@@ -163,7 +162,9 @@ def project_to_manifold(
     """Project the tangent displacement ``w`` back onto the reduced manifold.
 
     Iterates ``q <- q - N g*(q)`` with the pseudoinverse frozen at the base
-    point, from ``start`` or, without one, from ``q0 = base + U w``.  The
+    point, from ``start`` or, without one, from ``q0 = base + U w``; each
+    product ``N g*`` is :func:`~polydescent.polynomials.matvec`'s left fold,
+    the same on every interpreter.  The
     iteration moves only within ``q0 + range(N)``, so its fixed point is the
     manifold point in that affine set; a start in the same set (the accepted
     point ``p`` plus ``U (w - w_p)``) aims at the same point from nearer.
@@ -187,7 +188,8 @@ def project_to_manifold(
         q = np.asarray(start, dtype=float).tolist()
     if not all(map(math.isfinite, q0)) or not all(map(math.isfinite, q)):
         return None
-    n_rows = frame.N.tolist()
+    chord = matvec(*frame.N.shape)
+    n_flat = frame.N.ravel().tolist()
     r_init = None
     for n in range(cfg.max_iters + 1):
         g = compiled_residuals(q)
@@ -204,7 +206,7 @@ def project_to_manifold(
             return None
         if n == cfg.max_iters:
             return None
-        q_next = [qi - sum(map(mul, row, g)) for qi, row in zip(q, n_rows)]
+        q_next = [qi - s for qi, s in zip(q, chord(n_flat + g))]
         if q_next == q:
             return None  # rounding holds q still; the updates left would too
         q = q_next

@@ -16,6 +16,7 @@ form round-trips through :func:`parse_polynomial`.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -116,6 +117,23 @@ def evaluator(tables: Sequence[Terms]) -> Callable[[Sequence[float]], list[float
             return [eval_terms(t, vals) for t in tables]
 
     return evaluate_tables
+
+
+@functools.cache
+def matvec(rows: int, cols: int) -> Callable[[Sequence[float]], list[float]]:
+    """The :func:`evaluator` of ``M x`` for a ``rows`` x ``cols`` matrix ``M``,
+    read from ``[*M.ravel(), *x]``.
+
+    Row i is ``0.0 + M[i, 0]*x[0] + ... + M[i, cols-1]*x[cols-1]``, summed
+    left to right: the fold that ``sum`` makes of the products on CPython
+    3.10 and 3.11, and the same on every interpreter (from 3.12 ``sum`` of
+    floats is compensated).  Each shape has one evaluator per process, so
+    its code is generated once, at the shape's 50th product.
+    """
+    x0 = rows * cols  # where x starts in the flat vector
+    return evaluator(
+        [[(1.0, ((i * cols + c, 1), (x0 + c, 1))) for c in range(cols)] for i in range(rows)]
+    )
 
 
 # float() rounds a magnitude from here on up to 2**1024, and raises

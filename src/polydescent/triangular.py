@@ -11,6 +11,7 @@ variables for the optimizer to walk on.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -237,11 +238,12 @@ def whitney_partition(
     """Split ``sys`` into retained constraints and an eliminated cascade.
 
     ``eliminate`` lists algebraic variable indices in the order their
-    constraints will be solved during the lift.  With ``AUTO`` the
-    greatest-ranked algebraic variables are peeled off while the reduced
-    dimension stays above ``min(2m + 1, n_vars)`` and the candidate
-    constraint is guaranteed a real root (degree one, or odd degree with
-    constant leading coefficient).  Odd degree above one may have several
+    constraints will be solved during the lift; an index that is not an
+    integer (any value ``operator.index`` accepts) raises ``ValueError``.
+    With ``AUTO`` the greatest-ranked algebraic variables are peeled off
+    while the reduced dimension stays above ``min(2m + 1, n_vars)`` and the
+    candidate constraint is guaranteed a real root (degree one, or odd
+    degree with constant leading coefficient).  Odd degree above one may have several
     real roots; the lift then takes the one nearest its warm start.  An
     eliminated constraint's degree in its variable is at most
     ``MAX_STAGE_DEGREE``; ``AUTO`` retains a constraint of higher degree.
@@ -264,6 +266,10 @@ def whitney_partition(
         eliminated = tuple(eliminate)
         seen: set[int] = set()
         for v in eliminated:
+            try:
+                operator.index(v)
+            except TypeError:
+                raise ValueError(f"variable index {v!r} is not an integer") from None
             if not 0 <= v < n:
                 raise ValueError(f"variable index {v} out of range")
             if v in seen:
@@ -350,14 +356,19 @@ class LinearTriangularForm:
 def linear_whitney(A: np.ndarray, b: np.ndarray, m: int) -> LinearTriangularForm:
     """Triangularize the linear system ``A z = b`` into the two-stage form.
 
-    ``A`` and ``b`` must be finite and ``A`` k x (m + k) with full row rank
-    and k > m + 1, so the variable blocks are y (k - m - 1), x (m + 1), u (m).
+    ``A`` and ``b`` must be finite, ``m`` a nonnegative integer and ``A``
+    k x (m + k) with full row rank and k > m + 1, so the variable blocks are
+    y (k - m - 1), x (m + 1), u (m).
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     if A.ndim != 2:
         raise ValueError("A must be a matrix")
     k = A.shape[0]
+    try:
+        m = operator.index(m)
+    except TypeError:
+        raise ValueError(f"m must be an integer, got {m!r}") from None
     if m < 0:
         raise ValueError("m must be nonnegative")
     if A.shape[1] != m + k:

@@ -447,6 +447,14 @@ class TestGeodesic:
         assert main(["geodesic", "--problem", circle_file, "--velocity", *flags]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_step_count_past_the_float_range(self, curve_file, capsys):
+        # before, the step count raised a bare OverflowError (OVERFLOW)
+        flags = ["--velocity", "1,0", "--duration", "1e300", "--step", "1e-300"]
+        assert main(["geodesic", "--problem", curve_file, *flags]) == 1
+        assert capsys.readouterr().err == (
+            "error: INVALID_ARGUMENT: duration / step must be finite, got 1e+300 / 1e-300\n"
+        )
+
 
 class TestValidate:
     def test_curve_summary(self, curve_file, capsys):

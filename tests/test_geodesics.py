@@ -119,6 +119,9 @@ class TestIntegrate:
             (1.0, -0.5, "step must be a positive finite number"),
             (math.inf, 1e-3, "duration must be finite"),
             (math.nan, 1e-3, "duration must be finite"),
+            # before, math.ceil raised a bare OverflowError on the step count
+            (1e300, 1e-300, "duration / step must be finite"),
+            (-1e300, 1e-300, "duration / step must be finite"),
         ],
     )
     def test_non_finite_numbers_rejected(self, circle, duration, step, message):

@@ -11,7 +11,9 @@ table code hands a power that raises to ``eval_terms``, and only
 ``polynomials.py`` reads a polynomial's exact form (``.terms``, ``.exps``);
 every other module works from its compiled float tables.  It also owns the
 one rule that evaluates them: no other module reads a table with
-``eval_terms`` or generates code, they all call ``evaluator``.  And it owns
+``eval_terms`` or generates code, they all call ``evaluator``, and none
+calls the builtin ``sum``, which compensates float sums from CPython 3.12
+(a product of floats goes through ``matvec``).  And it owns
 the tables' layout: no other module imports ``Terms``, loops over a compiled
 table or builds a ``RootPlan`` itself; a lift stage takes its tables from
 ``coefficient_tables`` and its plan from ``RootPlan.of``.
@@ -186,6 +188,33 @@ def value(p, terms, vals):
         "line 6: eval",
         "line 7: P.eval_terms",
     ]
+
+
+def builtin_sum_calls(tree: ast.AST) -> list[str]:
+    """Calls of the builtin ``sum`` by name (``np.sum`` is an attribute)."""
+    return [
+        f"line {node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "sum"
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "polynomials.py"], ids=lambda p: p.name
+)
+def test_floats_are_summed_only_in_polynomials(path):
+    assert builtin_sum_calls(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_sum_check_catches_calls():
+    bad = """
+def update(q, rows, g, s):
+    step = [qi - sum(map(mul, row, g)) for qi, row in zip(q, rows)]
+    return step, np.sum(s), s.sum(), sum
+"""
+    assert builtin_sum_calls(ast.parse(bad)) == ["line 3: sum(map(mul, row, g))"]
 
 
 def table_layout_reads(tree: ast.AST) -> list[str]:

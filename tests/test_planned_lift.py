@@ -12,9 +12,11 @@ import ast
 import math
 import random
 import struct
+from functools import reduce
+from operator import add, mul
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import manifold_start, random_system, random_tower
 import polydescent.triangular as triangular
@@ -26,6 +28,7 @@ from polydescent.polynomials import (
     VariableOrder,
     eval_terms,
     evaluator,
+    matvec,
     parse_polynomial,
     real_roots,
 )
@@ -164,7 +167,9 @@ def test_every_tower_stage_is_planned(monkeypatch):
 def test_generated_code_is_built_when_hot(monkeypatch):
     # set-up, the start frame and projection and the first lifts build no
     # code; each table set builds its own once, at its 50th call, and reads
-    # the same values before and after
+    # the same values before and after.  The chord's evaluator is shared by
+    # every projection of its shape, so its count starts over here
+    matvec.cache_clear()
     built = _count_builds(monkeypatch)
     rng = random.Random(2)
     part = random_tower(rng, 12, 2)
@@ -290,6 +295,48 @@ def test_generated_tables_equal_eval_terms(groups, vals):
         expected = _bits([eval_terms(t, vals) for t in tables])
         for _ in range(51):
             assert _bits(evaluate(vals)) == expected
+
+
+_entries = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(min_value=-4.0, max_value=4.0),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e16, -1e16, 1e308, -1e308, 1e-300]),
+)
+
+
+@st.composite
+def _products(draw):
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 6))
+    m = draw(st.lists(_entries, min_size=rows * cols, max_size=rows * cols))
+    return rows, cols, m, draw(st.lists(_entries, min_size=cols, max_size=cols))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_products())
+@example((1, 3, [1e16, 1.0, -1e16], [1.0, 1.0, 1.0]))  # from CPython 3.12 sum() reads 1.0
+def test_matvec_is_the_left_fold(product):
+    # row i of M x is 0.0 + M[i, 0]*x[0] + ..., added left to right, both on
+    # the calls that read the tables and on the generated code from the 50th
+    rows, cols, m, x = product
+    expected = _bits(
+        [reduce(add, map(mul, m[i * cols : (i + 1) * cols], x), 0.0) for i in range(rows)]
+    )
+    matvec.cache_clear()
+    evaluate = matvec(rows, cols)
+    for _ in range(51):
+        assert _bits(evaluate(m + x)) == expected
+
+
+def test_one_chord_evaluator_per_shape():
+    # projections from many frames, on two partitions of one shape, share
+    # one matvec evaluator
+    matvec.cache_clear()
+    rng = random.Random(4)
+    for part in (random_tower(rng, 12, 2), random_tower(rng, 12, 2)):
+        for _ in range(3):
+            frame = tangent_frame(part, manifold_start(part, rng))
+            assert project_to_manifold(frame, [1e-3] * part.manifold_dim) is not None
+    assert matvec.cache_info().misses == 1
 
 
 def test_a_long_table_stays_on_eval_terms(monkeypatch):

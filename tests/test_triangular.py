@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_nonconstant_polynomial
+from polydescent.geometry import lift
 from polydescent.polynomials import Monomial, Polynomial, VariableOrder, parse_polynomial
 from polydescent.triangular import (
     AUTO,
@@ -255,12 +256,23 @@ class TestPartition:
             ("everything", ValueError, "unknown elimination mode 'everything'"),
             ([3], ValueError, "variable index 3 out of range"),
             ([2, 2], NotEliminableError, "variable 'y' listed twice"),
+            # before, 2.0 was accepted and failed at the first lift, and 2.5
+            # raised TypeError while the out-of-range message was built
+            ([2.0], ValueError, r"variable index 2\.0 is not an integer"),
+            ([2.5], ValueError, r"variable index 2\.5 is not an integer"),
+            (["y"], ValueError, "variable index 'y' is not an integer"),
         ],
     )
     def test_bad_eliminate_argument(self, eliminate, error, message):
         polys = [parse_polynomial("x^2 - u", UXY), parse_polynomial("y - x", UXY)]
         with pytest.raises(error, match=message):
             whitney_partition(validate_triangular(polys, UXY), eliminate)
+
+    def test_numpy_integer_indices_accepted(self):
+        polys = [parse_polynomial("u^4 + x^2 - 1", UXY), parse_polynomial("u^2 + x^3 + y^5", UXY)]
+        part = whitney_partition(validate_triangular(polys, UXY), [np.int64(2)])
+        assert part.eliminated == (2,)
+        assert lift(part, [0.0, 1.0]).tolist() == [0.0, 1.0, -1.0]
 
 
 def _upper(last):
@@ -284,11 +296,22 @@ class TestLinearWhitney:
             (_upper(np.nan), np.array([1.0, 2.0, 3.0]), 1, "A and b must be finite"),
             (_upper(np.inf), np.array([1.0, 2.0, 3.0]), 1, "A and b must be finite"),
             (np.eye(3, 4), np.array([1.0, np.nan, 3.0]), 1, "A and b must be finite"),
+            # before, 1.0 was accepted and solve_reduced raised TypeError
+            (np.eye(3), np.ones(3), 1.0, r"m must be an integer, got 1\.0"),
+            (np.eye(3), np.ones(3), "1", "m must be an integer, got '1'"),
         ],
     )
     def test_bad_arguments(self, A, b, m, message):
         with pytest.raises(ValueError, match=message):
             linear_whitney(A, b, m)
+
+    def test_numpy_integer_m_accepted(self):
+        A = np.triu(np.ones((3, 4))) + np.eye(3, 4)
+        form = linear_whitney(A, np.ones(3), np.int64(1))
+        assert form.split == 1
+        u = np.array([0.5])
+        z = form.recover(form.solve_reduced(u), u)
+        assert np.linalg.norm(A @ z - np.ones(3)) <= 1e-12
 
     def test_already_triangular(self):
         rng = np.random.default_rng(3)
