@@ -75,33 +75,35 @@ class StartOffManifoldError(ValueError):
     """The start point could not be projected onto the reduced manifold."""
 
 
-_ERROR_CODES: list[tuple[type, str]] = [
-    (UnknownVariableError, "UNKNOWN_VARIABLE"),
-    (InvalidExponentError, "INVALID_EXPONENT"),
-    (ParseError, "PARSE_ERROR"),
-    (ConstantMemberError, "CONSTANT_MEMBER"),
-    (DuplicateMainVariableError, "DUPLICATE_MVAR"),
-    (NotEliminableError, "NOT_ELIMINABLE"),
-    (EmptyReducedSystemError, "EMPTY_GSTAR"),
-    (RankDeficientError, "RANK_DEFICIENT"),
-    (NotRegularError, "NOT_REGULAR"),
-    (NoRealRootError, "NO_REAL_ROOT"),
-    (AmbiguousRootError, "AMBIGUOUS_ROOT"),
-    (LiftError, "LIFT_ERROR"),
-    (OverflowError, "OVERFLOW"),
-    (InvalidStartError, "INVALID_START"),
-    (StartOffManifoldError, "START_OFF_MANIFOLD"),
-    (ProblemFileError, "PROBLEM_FILE"),
-    (DivergedError, "DIVERGED"),
-    (OSError, "IO_ERROR"),
-    (ValueError, "INVALID_ARGUMENT"),
-]
+# each exception class and its code; an error takes the code of the first
+# class in its MRO that is listed, so a subclass needs no place before its base
+_ERROR_CODES: dict[type, str] = {
+    UnknownVariableError: "UNKNOWN_VARIABLE",
+    InvalidExponentError: "INVALID_EXPONENT",
+    ParseError: "PARSE_ERROR",
+    ConstantMemberError: "CONSTANT_MEMBER",
+    DuplicateMainVariableError: "DUPLICATE_MVAR",
+    NotEliminableError: "NOT_ELIMINABLE",
+    EmptyReducedSystemError: "EMPTY_GSTAR",
+    RankDeficientError: "RANK_DEFICIENT",
+    NotRegularError: "NOT_REGULAR",
+    NoRealRootError: "NO_REAL_ROOT",
+    AmbiguousRootError: "AMBIGUOUS_ROOT",
+    LiftError: "LIFT_ERROR",
+    OverflowError: "OVERFLOW",
+    InvalidStartError: "INVALID_START",
+    StartOffManifoldError: "START_OFF_MANIFOLD",
+    ProblemFileError: "PROBLEM_FILE",
+    DivergedError: "DIVERGED",
+    OSError: "IO_ERROR",
+    ValueError: "INVALID_ARGUMENT",
+}
 
 
 def _error_code(exc: BaseException) -> str:
-    for cls, code in _ERROR_CODES:
-        if isinstance(exc, cls):
-            return code
+    for cls in type(exc).__mro__:
+        if cls in _ERROR_CODES:
+            return _ERROR_CODES[cls]
     return "ERROR"
 
 

@@ -13,7 +13,6 @@ accepted point, is reported as not converged.
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -29,7 +28,7 @@ from .geometry import (
     residual_norm,
     tangent_frame,
 )
-from .triangular import WhitneyPartition
+from .triangular import WhitneyPartition, integer
 
 SUCCESS = "SUCCESS"
 UNSUCCESSFUL = "UNSUCCESSFUL"
@@ -60,20 +59,12 @@ class DescentConfig:
     projection: ProjectionConfig = DEFAULT_PROJECTION
 
     def __post_init__(self):
-        if not (0 < self.alpha0 < math.inf and self.alpha0 <= self.alpha_max):
+        if not (0 < self.alpha0 <= sys.float_info.max and self.alpha0 <= self.alpha_max):
             raise ValueError("need 0 < alpha0 <= alpha_max with alpha0 finite")
-        if self.c_forcing is not None and not 0 < self.c_forcing < math.inf:
+        if self.c_forcing is not None and not 0 < self.c_forcing <= sys.float_info.max:
             raise ValueError("c_forcing must be positive and finite")
-        for name in ("j_max", "seed"):
-            value = getattr(self, name)
-            try:
-                operator.index(value)
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
-        if self.j_max < 0:
-            raise ValueError("j_max must be nonnegative")
-        if self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
+        integer(self.j_max, "j_max")
+        integer(self.seed, "seed")
 
 
 @dataclass
@@ -126,12 +117,7 @@ def check_convergence(trace: DescentTrace | Iterable[TraceRecord], window: int) 
     that the last step size fell below 1e-8.  ``window`` must be an integer
     of at least 1.
     """
-    try:
-        operator.index(window)
-    except TypeError:
-        raise ValueError(f"window must be an integer, got {window!r}") from None
-    if window < 1:
-        raise ValueError(f"window must be at least 1, got {window}")
+    integer(window, "window", 1)
     records = trace.records if isinstance(trace, DescentTrace) else list(trace)
     if not records:
         return False

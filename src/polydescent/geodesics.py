@@ -9,6 +9,7 @@ back onto the manifold.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,12 @@ from .geometry import (
     tangent_frame,
 )
 from .triangular import WhitneyPartition
+
+
+# most RK4 steps one integration takes: a README curve step costs about
+# 150 us (2-vCPU Xeon VM), so the cap is a few minutes of work, where a
+# duration of 1e300 over a step of 1e-3 would otherwise run without end
+MAX_RK4_STEPS = 10**6
 
 
 class DivergedError(Exception):
@@ -60,26 +67,26 @@ def geodesic_integrate(
     duration: float,
     step: float,
     cfg: ProjectionConfig = DEFAULT_PROJECTION,
-    project: bool = True,
 ) -> GeodesicState:
     """Integrate the geodesic equation for ``duration`` with RK4 steps.
 
     ``step`` is the step magnitude; negative duration integrates backwards.
     The final position is projected back onto the manifold from a frame at
-    the raw endpoint (``project=False`` returns the raw endpoint, useful for
-    measuring integrator drift).  Raises ``ValueError`` unless ``step`` is
-    positive and finite, ``duration`` and ``state0`` are finite and
-    ``duration / step`` is finite,
+    the raw endpoint.  Raises ``ValueError`` unless ``step`` is positive,
+    ``step``, ``duration`` and ``state0`` are finite (a number past the
+    float range is not) and ``|duration| / step`` is at most ``MAX_RK4_STEPS``,
     :class:`DivergedError` if the speed grows a thousandfold or stops being
     a number, and propagates :class:`NotRegularError` from any stage.
     """
-    if not 0 < step < math.inf:
+    if not 0 < step <= sys.float_info.max:
         raise ValueError(f"step must be a positive finite number, got {step}")
-    if not math.isfinite(duration):
+    if not abs(duration) <= sys.float_info.max:
         raise ValueError(f"duration must be finite, got {duration}")
     steps = abs(duration) / step
-    if not math.isfinite(steps):
-        raise ValueError(f"duration / step must be finite, got {duration} / {step}")
+    if not steps <= MAX_RK4_STEPS:
+        raise ValueError(
+            f"duration / step must be at most {MAX_RK4_STEPS}, got {duration} / {step}"
+        )
     z = np.asarray(state0.position, dtype=float).copy()
     v = np.asarray(state0.velocity, dtype=float).copy()
     for name, x in (("position", z), ("velocity", v)):
@@ -101,8 +108,6 @@ def geodesic_integrate(
         if not math.sqrt(float(v @ v)) <= 1e3 * v0:
             raise DivergedError("velocity grew by more than 1e3x")
 
-    if not project:
-        return GeodesicState(z, v, state0.time + duration)
     frame = tangent_frame(part, z)
     projected = project_to_manifold(frame, np.zeros(frame.U.shape[1]), cfg)
     if projected is None:

@@ -16,13 +16,13 @@ variable order.  Three mechanisms live here:
 from __future__ import annotations
 
 import math
-import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .polynomials import Polynomial, evaluator, matvec
-from .triangular import WhitneyPartition
+from .triangular import WhitneyPartition, integer
 
 
 class NotRegularError(Exception):
@@ -64,12 +64,8 @@ class ProjectionConfig:
     oracle_radius: float = 0.5
 
     def __post_init__(self):
-        try:
-            operator.index(self.max_iters)
-        except TypeError:
-            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}") from None
-        positive = self.max_iters > 0 and self.oracle_radius > 0
-        if not (positive and 0 < self.residual_tol < math.inf):
+        integer(self.max_iters, "max_iters", 1)
+        if not (self.oracle_radius > 0 and 0 < self.residual_tol <= sys.float_info.max):
             raise ValueError("all projection parameters must be positive, residual_tol finite")
 
 

@@ -54,6 +54,20 @@ AUTO = "auto"
 MAX_STAGE_DEGREE = 200
 
 
+def integer(value, what: str, least: int = 0) -> int:
+    """The one gate for a count: ``operator.index(value)``, if at least ``least``.
+
+    ``np.int64`` passes; ``2.0``, a string or an int below ``least`` raises ``ValueError``.
+    """
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+    if n < least:
+        raise ValueError(f"{what} must be at least {least}, got {n}")
+    return n
+
+
 @dataclass(frozen=True)
 class TriangularSystem:
     """A validated triangular set, members sorted by ascending main variable."""
@@ -96,7 +110,7 @@ def validate_triangular(
     return TriangularSystem(sorted_polys, order, algebraic, free)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class WhitneyPartition:
     """Constraints and variables split for reduced-dimension descent.
 
@@ -238,8 +252,8 @@ def whitney_partition(
     """Split ``sys`` into retained constraints and an eliminated cascade.
 
     ``eliminate`` lists algebraic variable indices in the order their
-    constraints will be solved during the lift; an index that is not an
-    integer (any value ``operator.index`` accepts) raises ``ValueError``.
+    constraints will be solved during the lift; an index that
+    :func:`integer` refuses raises ``ValueError``.
     With ``AUTO`` the greatest-ranked algebraic variables are peeled off
     while the reduced dimension stays above ``min(2m + 1, n_vars)`` and the
     candidate constraint is guaranteed a real root (degree one, or odd
@@ -263,14 +277,10 @@ def whitney_partition(
             chosen.append(v)
         eliminated = tuple(sorted(chosen))
     else:
-        eliminated = tuple(eliminate)
+        eliminated = tuple(integer(v, "variable index") for v in eliminate)
         seen: set[int] = set()
         for v in eliminated:
-            try:
-                operator.index(v)
-            except TypeError:
-                raise ValueError(f"variable index {v!r} is not an integer") from None
-            if not 0 <= v < n:
+            if v >= n:
                 raise ValueError(f"variable index {v} out of range")
             if v in seen:
                 raise NotEliminableError(
@@ -365,12 +375,7 @@ def linear_whitney(A: np.ndarray, b: np.ndarray, m: int) -> LinearTriangularForm
     if A.ndim != 2:
         raise ValueError("A must be a matrix")
     k = A.shape[0]
-    try:
-        m = operator.index(m)
-    except TypeError:
-        raise ValueError(f"m must be an integer, got {m!r}") from None
-    if m < 0:
-        raise ValueError("m must be nonnegative")
+    m = integer(m, "m")
     if A.shape[1] != m + k:
         raise ValueError(f"A must be k x (m + k); got {A.shape} with m={m}")
     if k <= m + 1:

@@ -8,12 +8,15 @@ import numpy as np
 import pytest
 
 from polydescent.cli import (
+    _ERROR_CODES,
     ProblemFileError,
     StartOffManifoldError,
+    _error_code,
     build_parser,
     load_problem,
     main,
 )
+from polydescent.geometry import NoRealRootError
 from polydescent.polynomials import parse_polynomial
 from polydescent.triangular import ConstantMemberError
 
@@ -230,6 +233,19 @@ class TestRun:
         assert code == 1
         assert "IO_ERROR" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cls", _ERROR_CODES, ids=lambda c: c.__name__)
+    def test_each_error_class_has_its_own_code(self, cls):
+        # the most derived listed class decides, wherever the table lists it
+        exc = cls.__new__(cls)  # an instance without its constructor's arguments
+        assert _error_code(exc) == _ERROR_CODES[cls]
+
+    def test_error_codes_of_subclasses_and_strangers(self):
+        assert _error_code(NoRealRootError(0, "y", "none")) == "NO_REAL_ROOT"
+        assert _error_code(ProblemFileError("bad", 3)) == "PROBLEM_FILE"
+        assert _error_code(ValueError("bad")) == "INVALID_ARGUMENT"
+        assert _error_code(UnicodeDecodeError("utf-8", b"", 0, 1, "bad")) == "INVALID_ARGUMENT"
+        assert _error_code(ZeroDivisionError()) == "ERROR"
+
     def test_lift_overflow_error_code(self, tmp_path, capsys):
         path = tmp_path / "overflow.problem"
         path.write_text(
@@ -441,6 +457,11 @@ class TestGeodesic:
                 ["1,0", "--duration", "1", "--step", "0.5", "--oracle-radius", "1e-6"],
                 "DIVERGED: endpoint could not be projected back onto the manifold",
             ),
+            # about 1e303 RK4 steps: the command ran until it was killed
+            (
+                ["1,0", "--duration", "1e300", "--step", "1e-3"],
+                "INVALID_ARGUMENT: duration / step must be at most 1000000, got 1e+300 / 0.001",
+            ),
         ],
     )
     def test_failures(self, circle_file, capsys, flags, message):
@@ -452,7 +473,8 @@ class TestGeodesic:
         flags = ["--velocity", "1,0", "--duration", "1e300", "--step", "1e-300"]
         assert main(["geodesic", "--problem", curve_file, *flags]) == 1
         assert capsys.readouterr().err == (
-            "error: INVALID_ARGUMENT: duration / step must be finite, got 1e+300 / 1e-300\n"
+            "error: INVALID_ARGUMENT: "
+            "duration / step must be at most 1000000, got 1e+300 / 1e-300\n"
         )
 
 

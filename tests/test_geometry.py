@@ -198,7 +198,9 @@ class TestProjection:
 
     @pytest.mark.parametrize("field", ["residual_tol", "max_iters", "oracle_radius"])
     def test_config_must_be_positive(self, field):
-        with pytest.raises(ValueError, match="must be positive"):
+        # a count is refused by the integer gate, the magnitudes together
+        message = "max_iters must be at least 1" if field == "max_iters" else "must be positive"
+        with pytest.raises(ValueError, match=message):
             ProjectionConfig(**{field: 0})
 
     @pytest.mark.parametrize("value", [math.inf, math.nan])

@@ -16,7 +16,8 @@ calls the builtin ``sum``, which compensates float sums from CPython 3.12
 (a product of floats goes through ``matvec``).  And it owns
 the tables' layout: no other module imports ``Terms``, loops over a compiled
 table or builds a ``RootPlan`` itself; a lift stage takes its tables from
-``coefficient_tables`` and its plan from ``RootPlan.of``.
+``coefficient_tables`` and its plan from ``RootPlan.of``.  A count is
+admitted in one place: only ``triangular.integer`` calls ``operator``.
 """
 
 import ast
@@ -265,6 +266,45 @@ def stage(p: Polynomial, y):
         "line 7: p.compile()",
         "line 9: P.RootPlan(tables[1])",
     ]
+
+
+def operator_uses(tree: ast.AST) -> list[str]:
+    """Innermost function (or ``<module>``) of each import or use of ``operator``."""
+    out = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (
+                isinstance(child, ast.Import) and any(a.name == "operator" for a in child.names)
+            ) or (isinstance(child, ast.ImportFrom) and child.module == "operator"):
+                out.append(f"import in {where}")
+            elif isinstance(child, ast.Name) and child.id == "operator":
+                out.append(where)
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_counts_are_admitted_only_by_integer(path):
+    # one gate, triangular.integer, decides what a count is
+    expected = ["import in <module>", "integer"] if path.name == "triangular.py" else []
+    assert operator_uses(ast.parse(path.read_text(encoding="utf-8"))) == expected
+
+
+def test_operator_check_catches_uses():
+    bad = """
+import operator
+from operator import index
+
+def gate(n):
+    return operator.index(n)
+"""
+    assert operator_uses(ast.parse(bad)) == ["import in <module>", "import in <module>", "gate"]
 
 
 # each function that may catch OverflowError, by module

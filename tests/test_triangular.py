@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -258,9 +259,9 @@ class TestPartition:
             ([2, 2], NotEliminableError, "variable 'y' listed twice"),
             # before, 2.0 was accepted and failed at the first lift, and 2.5
             # raised TypeError while the out-of-range message was built
-            ([2.0], ValueError, r"variable index 2\.0 is not an integer"),
-            ([2.5], ValueError, r"variable index 2\.5 is not an integer"),
-            (["y"], ValueError, "variable index 'y' is not an integer"),
+            ([2.0], ValueError, r"variable index must be an integer, got 2\.0"),
+            ([2.5], ValueError, r"variable index must be an integer, got 2\.5"),
+            (["y"], ValueError, "variable index must be an integer, got 'y'"),
         ],
     )
     def test_bad_eliminate_argument(self, eliminate, error, message):
@@ -273,6 +274,16 @@ class TestPartition:
         part = whitney_partition(validate_triangular(polys, UXY), [np.int64(2)])
         assert part.eliminated == (2,)
         assert lift(part, [0.0, 1.0]).tolist() == [0.0, 1.0, -1.0]
+
+    def test_partition_is_frozen(self):
+        # its compiled form is cached, which is sound only while no field changes
+        polys = [parse_polynomial("u^4 + x^2 - 1", UXY), parse_polynomial("u^2 + x^3 + y^5", UXY)]
+        part = whitney_partition(validate_triangular(polys, UXY), [2])
+        assert part.compiled is part.compiled
+        for field in dataclasses.fields(part):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(part, field.name, ())
+        assert part.g_star == (polys[0],)
 
 
 def _upper(last):
@@ -290,7 +301,7 @@ class TestLinearWhitney:
         "A, b, m, message",
         [
             (np.ones(3), np.ones(3), 0, "A must be a matrix"),
-            (np.eye(3), np.ones(3), -1, "m must be nonnegative"),
+            (np.eye(3), np.ones(3), -1, "m must be at least 0, got -1"),
             (np.eye(3), np.ones(3), 1, r"A must be k x \(m \+ k\)"),
             (np.eye(3), np.ones(2), 0, "b must have one entry per row of A"),
             (_upper(np.nan), np.array([1.0, 2.0, 3.0]), 1, "A and b must be finite"),
